@@ -22,6 +22,7 @@ from . import _backend
 from .errors import (
     AxiomIIViolation,
     AxiomIViolation,
+    BoundOutOfRange,
     BoxOutside,
     EmptyArmTable,
     HorizonExceedsTable,
@@ -114,7 +115,7 @@ def validate_arm(a: ArmSequence, horizon: int) -> list[ArmViolation]:
     the scales these tables see.
     """
     if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+        raise BoundOutOfRange(f"horizon must be >= 1, got {horizon}")
     if a.horizon is not None and horizon > a.horizon:
         raise HorizonExceedsTable(horizon, a.horizon)
     bad = []
@@ -144,15 +145,19 @@ def arm_from_values(n: int, values: Iterable[int],
     return a
 
 
-def arm_from_file(n: int, path: str) -> ArmSequence:
-    """Load whitespace-separated integers A_1 A_2 ... from a text file."""
+def arm_from_file(n: int, path: str, validate: bool = True) -> ArmSequence:
+    """Load whitespace-separated integers A_1 A_2 ... from a text file.
+
+    With ``validate`` false the table is loaded as is, for
+    :func:`validate_arm` to list every violation."""
     with open(path) as fh:
         tokens = fh.read().split()
     try:
         values = [int(tok) for tok in tokens]
     except ValueError as exc:
         raise ParseError(f"bad arm table in {path}: {exc}") from None
-    return arm_from_values(n, values, f"file:{path}")
+    make = arm_from_values if validate else unchecked_arm
+    return make(n, values, f"file:{path}")
 
 
 def random_arm(n: int, horizon: int, seed: int) -> ArmSequence:
@@ -165,7 +170,7 @@ def random_arm(n: int, horizon: int, seed: int) -> ArmSequence:
     """
     check_rank(n)
     if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+        raise BoundOutOfRange(f"horizon must be >= 1, got {horizon}")
     rng = random.Random(seed)
     values: list[int] = []
     for t in range(1, horizon + 1):
@@ -183,12 +188,15 @@ def random_arm(n: int, horizon: int, seed: int) -> ArmSequence:
     return ArmSequence(n, values, f"random:{seed}:{horizon}")
 
 
-def arm_from_descriptor(n: int, text: str) -> ArmSequence:
-    """Build from CLI-style text: horizontal | file:PATH | random:SEED:T."""
+def arm_from_descriptor(n: int, text: str, validate: bool = True) -> ArmSequence:
+    """Build from CLI-style text: horizontal | file:PATH | random:SEED:T.
+
+    ``validate`` is passed on to :func:`arm_from_file`; the other two
+    kinds are valid by construction."""
     if text == "horizontal":
         return horizontal_arm(n)
     if text.startswith("file:"):
-        return arm_from_file(n, text[len("file:"):])
+        return arm_from_file(n, text[len("file:"):], validate)
     if text.startswith("random:"):
         fields = text.split(":")
         if len(fields) != 3:

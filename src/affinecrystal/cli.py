@@ -145,9 +145,9 @@ def _cmd_check(args) -> int:
     return 1
 
 
-def _make_graph(model: str, n: int, depth: int, arm_text: str):
+def _make_graph(model: str, n: int, depth: int, arm_text: str, objects=None):
     a = arm_from_descriptor(n, arm_text) if model == PARTITION_MODEL else None
-    return generate_graph(model, n, depth, a)
+    return generate_graph(model, n, depth, a, objects)
 
 
 def _cmd_graph(args) -> int:
@@ -160,9 +160,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    g1 = _make_graph(args.model, args.n, args.depth, args.arm)
-    g2 = _make_graph(args.model2, args.n, args.depth, args.arm2 or args.arm)
-    label_map = None
+    agree = partitions = monomials = None
     if args.use_psi:
         if args.model != PARTITION_MODEL or args.model2 != MONOMIAL_MODEL:
             print(
@@ -170,11 +168,14 @@ def _cmd_compare(args) -> int:
                 file=sys.stderr,
             )
             return 2
+        partitions, monomials = [], []
 
-        def label_map(text):
-            return format_monomial(partition_to_monomial(parse_partition(text), args.n))
+        def agree(v1, v2):
+            return partition_to_monomial(partitions[v1], args.n) == monomials[v2]
 
-    result = compare_graphs(g1, g2, label_map)
+    g1 = _make_graph(args.model, args.n, args.depth, args.arm, partitions)
+    g2 = _make_graph(args.model2, args.n, args.depth, args.arm2 or args.arm, monomials)
+    result = compare_graphs(g1, g2, agree)
     if result.isomorphic:
         print(f"isomorphic ({len(g1.vertices)} vertices)")
         return 0
@@ -190,21 +191,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_validate_arm(args) -> int:
-    from .arms import horizontal_arm, unchecked_arm
-
     # load without eager validation so every violation can be listed
-    text = args.arm
-    if text == "horizontal":
-        a = horizontal_arm(args.n)
-    elif text.startswith("file:"):
-        path = text[len("file:"):]
-        with open(path) as fh:
-            a = unchecked_arm(args.n, [int(tok) for tok in fh.read().split()],
-                              text)
-    elif text.startswith("random:"):
-        a = arm_from_descriptor(args.n, text)
-    else:
-        raise CrystalError(f"unknown arm sequence {text!r}")
+    a = arm_from_descriptor(args.n, args.arm, validate=False)
     bad = validate_arm(a, args.horizon)
     if not bad:
         print("ok")

@@ -26,6 +26,10 @@ class RankTooSmall(CrystalError, ValueError):
     """The rank n must be at least 3."""
 
 
+class BoundOutOfRange(CrystalError, ValueError):
+    """A depth, size or horizon bound is below its smallest allowed value."""
+
+
 class BoxOutside(CrystalError, ValueError):
     """Box coordinates fall outside the diagram of the partition."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .arms import ArmSequence, horizontal_arm, is_regular
-from .errors import DepthMismatch, ParseError, RankMismatch
+from .errors import BoundOutOfRange, DepthMismatch, ParseError, RankMismatch
 from .monomial_crystal import f_m, format_monomial, y
 from .partition_crystal import f_down
 from .partitions import Partition, check_rank, partitions_of_size
@@ -45,13 +45,21 @@ class CrystalGraph:
 
 
 def generate_graph(
-    model: str, n: int, depth: int, a: ArmSequence | None = None
+    model: str,
+    n: int,
+    depth: int,
+    a: ArmSequence | None = None,
+    objects: list | None = None,
 ) -> CrystalGraph:
     """All vertices within ``depth`` lowering steps of the root, with every
-    lowering edge among them."""
+    lowering edge among them.
+
+    When ``objects`` is given, the vertex objects (partitions or monomials)
+    are appended to it in id order.
+    """
     check_rank(n)
     if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+        raise BoundOutOfRange(f"depth must be >= 0, got {depth}")
     if model == PARTITION_MODEL:
         if a is None:
             a = horizontal_arm(n)
@@ -79,6 +87,8 @@ def generate_graph(
 
     vertices = [label(root)]
     ids = {root: 0}
+    if objects is not None:
+        objects.append(root)
     edges: list[tuple[int, int, int]] = []
     frontier = [root]
     for _ in range(depth):
@@ -93,6 +103,8 @@ def generate_graph(
                     ids[w] = len(vertices)
                     vertices.append(label(w))
                     nxt.append(w)
+                    if objects is not None:
+                        objects.append(w)
                 edges.append((src, ids[w], i))
         frontier = nxt
     return CrystalGraph(
@@ -137,13 +149,13 @@ class GraphComparison:
 def compare_graphs(
     g1: CrystalGraph,
     g2: CrystalGraph,
-    label_map: Callable[[str], str] | None = None,
+    agree: Callable[[int, int], bool] | None = None,
 ) -> GraphComparison:
     """Synchronized traversal from the roots following equal-colored edges.
 
     Returns the vertex bijection when it is total and consistent, else the
-    first divergence.  When ``label_map`` is given, each paired vertex must
-    also satisfy label_map(label1) == label2.
+    first divergence.  When ``agree`` is given, every paired vertex, root
+    included, must also satisfy agree(id1, id2).
     """
     if g1.n != g2.n:
         raise RankMismatch(f"ranks differ: {g1.n} vs {g2.n}")
@@ -159,6 +171,9 @@ def compare_graphs(
             mismatch=GraphMismatch(kind, v1, v2, color, detail)
         )
 
+    def disagreement(v1, v2):
+        return f"{g1.vertices[v1]!r} does not correspond to {g2.vertices[v2]!r}"
+
     def pair(v1, v2):
         if fwd.get(v1, v2) != v2 or bwd.get(v2, v1) != v1:
             return False
@@ -169,13 +184,11 @@ def compare_graphs(
     state = pair(g1.root, g2.root)
     if state is False:
         return fail("root-pairing", g1.root, g2.root)
-    if label_map is not None:
-        mapped = label_map(g1.vertices[g1.root])
-        if mapped != g2.vertices[g2.root]:
-            return fail(
-                "label-mismatch", g1.root, g2.root,
-                detail=f"{mapped!r} != {g2.vertices[g2.root]!r}",
-            )
+    if agree is not None and not agree(g1.root, g2.root):
+        return fail(
+            "label-mismatch", g1.root, g2.root,
+            detail=disagreement(g1.root, g2.root),
+        )
     queue = deque([(g1.root, g2.root)])
     while queue:
         v1, v2 = queue.popleft()
@@ -196,13 +209,11 @@ def compare_graphs(
                     detail="conflicts with an earlier pairing",
                 )
             if state is True:
-                if label_map is not None:
-                    mapped = label_map(g1.vertices[w1])
-                    if mapped != g2.vertices[w2]:
-                        return fail(
-                            "label-mismatch", w1, w2, color,
-                            detail=f"{mapped!r} != {g2.vertices[w2]!r}",
-                        )
+                if agree is not None and not agree(w1, w2):
+                    return fail(
+                        "label-mismatch", w1, w2, color,
+                        detail=disagreement(w1, w2),
+                    )
                 queue.append((w1, w2))
     if len(fwd) != len(g1.vertices) or len(bwd) != len(g2.vertices):
         return fail(
@@ -217,7 +228,7 @@ def count_regular(n: int, a: ArmSequence, max_size: int) -> list[int]:
     enumeration."""
     check_rank(n)
     if max_size < 0:
-        raise ValueError(f"max_size must be >= 0, got {max_size}")
+        raise BoundOutOfRange(f"max_size must be >= 0, got {max_size}")
     return [
         sum(1 for lam in partitions_of_size(m) if is_regular(lam, a))
         for m in range(max_size + 1)
@@ -254,26 +265,65 @@ def export_json(g: CrystalGraph) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _is_index(value, size: int) -> bool:
+    return type(value) is int and 0 <= value < size
+
+
 def graph_from_json(text: str) -> CrystalGraph:
-    """Inverse of :func:`export_json`."""
+    """Inverse of :func:`export_json`.
+
+    Raises ParseError unless vertex ids are exactly 0..V-1, labels are
+    strings, the root and every edge endpoint are vertex ids, every color
+    lies in 0..n-1, and no vertex has two out-edges of one color.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad graph JSON: {exc}") from None
     try:
+        n = doc["n"]
+        if type(n) is not int or n < 3:
+            raise ParseError(f"graph rank must be an integer >= 3, got {n!r}")
         vertices_field = doc["vertices"]
-        vertices = [""] * len(vertices_field)
+        count = len(vertices_field)
+        vertices = [""] * count
+        seen = [False] * count
         for entry in vertices_field:
-            vertices[entry["id"]] = entry["label"]
-        edges = [(e["src"], e["dst"], e["color"]) for e in doc["edges"]]
+            vid = entry["id"]
+            if not _is_index(vid, count) or seen[vid]:
+                raise ParseError(
+                    f"vertex ids must be exactly 0..{count - 1}, got {vid!r}"
+                )
+            label = entry["label"]
+            if type(label) is not str:
+                raise ParseError(f"vertex {vid} label is not a string: {label!r}")
+            seen[vid] = True
+            vertices[vid] = label
+        root = doc["root"]
+        if not _is_index(root, count):
+            raise ParseError(f"root {root!r} is not a vertex id")
+        edges = []
+        out_colors = set()
+        for e in doc["edges"]:
+            src, dst, color = e["src"], e["dst"], e["color"]
+            if not (_is_index(src, count) and _is_index(dst, count)):
+                raise ParseError(
+                    f"edge {src!r} -> {dst!r} has an endpoint that is not a vertex id"
+                )
+            if not _is_index(color, n):
+                raise ParseError(f"edge color {color!r} outside 0..{n - 1}")
+            if (src, color) in out_colors:
+                raise ParseError(f"vertex {src} has two out-edges of color {color}")
+            out_colors.add((src, color))
+            edges.append((src, dst, color))
         return CrystalGraph(
             model=doc["model"],
-            n=doc["n"],
+            n=n,
             depth=doc["depth"],
             arm=doc["arm"],
             vertices=vertices,
             edges=edges,
-            root=doc["root"],
+            root=root,
         )
     except (KeyError, IndexError, TypeError) as exc:
         raise ParseError(f"graph JSON missing fields: {exc!r}") from None

@@ -14,25 +14,34 @@ from dataclasses import dataclass, field
 
 from .arms import horizontal_arm, is_regular
 from .errors import NotAddable, NotRegular
-from .monomial_crystal import Monomial, e_m, f_m, mult_a
+from .monomial_crystal import Monomial, _canonical, e_m, f_m, mult_a
 from .partition_crystal import box_order_gt, e_up, f_down
 from .partitions import Box, Partition, check_rank, content, height, residue
 
 
 def partition_to_monomial(lam: Partition, n: int) -> Monomial:
-    """Product over addable corners of Y(c,h-1), removable of Y(c,h+1)^-1."""
+    """Product over addable corners of Y(c,h-1), removable of Y(c,h+1)^-1.
+
+    Reads the corners off the parts: row r of length p has an addable
+    corner (content p+1-r, height r+p) when the row above is longer, and a
+    removable one (content p-r, height r+p-1) when the row below is
+    shorter; the new-row corner below the last row r has content -r and
+    height r+1.
+    """
     check_rank(n)
     exp: dict[tuple[int, int], int] = {}
-
-    def bump(i, k, u):
-        key = (i, k)
-        exp[key] = exp.get(key, 0) + u
-
-    for b in lam.addable_boxes():
-        bump(residue(b, n), height(b) - 1, +1)
-    for b in lam.removable_boxes():
-        bump(residue(b, n), height(b) + 1, -1)
-    return Monomial(n, exp)
+    parts = lam.parts
+    rows = len(parts)
+    for r, p in enumerate(parts, 1):
+        if r == 1 or parts[r - 2] > p:
+            key = ((p + 1 - r) % n, r + p - 1)
+            exp[key] = exp.get(key, 0) + 1
+        if r == rows or p > parts[r]:
+            key = ((p - r) % n, r + p)
+            exp[key] = exp.get(key, 0) - 1
+    key = (-rows % n, rows)
+    exp[key] = exp.get(key, 0) + 1
+    return _canonical(n, {key: u for key, u in exp.items() if u})
 
 
 def check_add_box_factor(lam: Partition, b: Box, n: int) -> bool:

@@ -30,12 +30,13 @@ from .partitions import check_rank
 class Monomial:
     """Immutable product of Y(i,k)^u factors over a fixed rank n.
 
-    Equality and hashing use the canonical form (zero exponents dropped,
-    residues reduced mod n), so monomials work as dictionary keys during
-    graph generation.
+    The only stored state is the canonical exponent dict (zero exponents
+    dropped, residues reduced mod n); equality and hashing use it, so
+    monomials work as dictionary keys during graph generation.  The
+    ordered factor tuple is built only on request, by :meth:`factors`.
     """
 
-    __slots__ = ("n", "_exp", "_key")
+    __slots__ = ("n", "_exp", "_hash")
 
     def __init__(self, n: int, exponents: dict | None = None):
         check_rank(n)
@@ -48,13 +49,9 @@ class Monomial:
                 exp[key] = exp.get(key, 0) + u
                 if exp[key] == 0:
                     del exp[key]
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_exp", exp)
-        object.__setattr__(
-            self,
-            "_key",
-            tuple(sorted(exp.items(), key=lambda item: (-item[0][1], item[0][0]))),
-        )
+        _set_n(self, n)
+        _set_exp(self, exp)
+        _set_hash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
@@ -64,12 +61,11 @@ class Monomial:
 
     def factors(self) -> tuple[tuple[tuple[int, int], int], ...]:
         """((i, k), u) pairs sorted by decreasing k, then increasing i."""
-        return self._key
+        return tuple(sorted(self._exp.items(), key=_factor_order))
 
     def support(self, i: int) -> list[int]:
         """The k with nonzero exponent at residue i, increasing."""
-        i %= self.n
-        return sorted(k for (j, k) in self._exp if j == i)
+        return [k for k, _ in _residue_terms(self, i)]
 
     def is_one(self) -> bool:
         return not self._exp
@@ -81,8 +77,12 @@ class Monomial:
             raise ValueError("cannot multiply monomials over different ranks")
         exp = dict(self._exp)
         for key, u in other._exp.items():
-            exp[key] = exp.get(key, 0) + u
-        return Monomial(self.n, exp)
+            v = exp.get(key, 0) + u
+            if v:
+                exp[key] = v
+            else:
+                del exp[key]
+        return _canonical(self.n, exp)
 
     def __pow__(self, e: int) -> "Monomial":
         return Monomial(self.n, {key: u * e for key, u in self._exp.items()})
@@ -91,17 +91,49 @@ class Monomial:
         return (
             isinstance(other, Monomial)
             and self.n == other.n
-            and self._key == other._key
+            and self._exp == other._exp
         )
 
     def __hash__(self):
-        return hash((self.n, self._key))
+        h = self._hash
+        if h is None:
+            h = hash((self.n, frozenset(self._exp.items())))
+            _set_hash(self, h)
+        return h
 
     def __repr__(self):
         return f"Monomial(n={self.n}, {format_monomial(self)!r})"
 
     def __str__(self):
         return format_monomial(self)
+
+
+_set_n = Monomial.n.__set__
+_set_exp = Monomial._exp.__set__
+_set_hash = Monomial._hash.__set__
+
+
+def _factor_order(item):
+    (i, k), _ = item
+    return -k, i
+
+
+def _canonical(n: int, exp: dict) -> Monomial:
+    """Wrap ``exp`` without copying or checking it.
+
+    Callers guarantee a valid rank and a canonical dict: residues in
+    [0, n), no zero exponents, and no other reference to ``exp``."""
+    m = object.__new__(Monomial)
+    _set_n(m, n)
+    _set_exp(m, exp)
+    _set_hash(m, None)
+    return m
+
+
+def _residue_terms(m: Monomial, i: int) -> list[tuple[int, int]]:
+    """(k, u) for every nonzero exponent at residue i, by increasing k."""
+    i %= m.n
+    return sorted((k, u) for (j, k), u in m._exp.items() if j == i)
 
 
 def y(n: int, i: int, k: int, power: int = 1) -> Monomial:
@@ -155,13 +187,19 @@ def mult_a(m: Monomial, i: int, k: int, sign: int = 1) -> Monomial:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     n = m.n
     i %= n
-    factor = {
-        (i, k - 1): sign,
-        (i, k + 1): sign,
-        ((i + 1) % n, k): -sign,
-        ((i - 1) % n, k): -sign,
-    }
-    return m * Monomial(n, factor)
+    exp = dict(m._exp)
+    for key, u in (
+        ((i, k - 1), sign),
+        ((i, k + 1), sign),
+        (((i + 1) % n, k), -sign),
+        (((i - 1) % n, k), -sign),
+    ):
+        v = exp.get(key, 0) + u
+        if v:
+            exp[key] = v
+        else:
+            del exp[key]
+    return _canonical(n, exp)
 
 
 def weight(m: Monomial) -> dict[int, int]:
@@ -194,18 +232,17 @@ def stats(m: Monomial, i: int) -> MonomialStats:
     support points suffices: intervals of constancy close at a support
     point on the relevant side.
     """
-    i %= m.n
-    ks = m.support(i)
+    terms = _residue_terms(m, i)
     eps, p = 0, None
     tail = 0
-    for k in reversed(ks):
-        tail += m.exponent(i, k)
+    for k, u in reversed(terms):
+        tail += u
         if -tail > eps:
             eps, p = -tail, k
     phi, q = 0, None
     head = 0
-    for k in ks:
-        head += m.exponent(i, k)
+    for k, u in terms:
+        head += u
         if head > phi:
             phi, q = head, k
     return MonomialStats(eps, phi, p, q)
@@ -215,8 +252,7 @@ def monomial_bracket_string(m: Monomial, i: int) -> BracketString:
     """One '(' per positive unit and ')' per negative unit, decreasing k."""
     i %= m.n
     tokens = []
-    for k in sorted(m.support(i), reverse=True):
-        u = m.exponent(i, k)
+    for k, u in reversed(_residue_terms(m, i)):
         side = OPEN if u > 0 else CLOSE
         tokens.extend((side, (i, k)) for _ in range(abs(u)))
     return BracketString.build(tokens)
@@ -261,7 +297,7 @@ def f_m(m: Monomial, i: int, mode: str = "analytic") -> Monomial | None:
 
 def is_dominant(m: Monomial) -> bool:
     """All exponents nonnegative."""
-    return all(u >= 0 for _, u in m.factors())
+    return all(u >= 0 for u in m._exp.values())
 
 
 def is_compatible(m: Monomial) -> bool:
@@ -270,4 +306,4 @@ def is_compatible(m: Monomial) -> bool:
         raise CompatibilityUndefinedForOddN(
             f"compatibility needs even rank, got n = {m.n}"
         )
-    return all(k % 2 == i % 2 for (i, k), _ in m.factors())
+    return all(k % 2 == i % 2 for i, k in m._exp)

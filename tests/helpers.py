@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from affinecrystal import Partition, y
+from affinecrystal import Partition, height, residue, y
 from affinecrystal.monomial_crystal import Monomial
 
 
@@ -69,6 +69,30 @@ def oracle_monomial_stats(m: Monomial, i: int):
     p = max((L for L, v in eps_at.items() if v == eps), default=None) if eps > 0 else None
     q = min((L for L, v in phi_at.items() if v == phi), default=None) if phi > 0 else None
     return eps, phi, p, q
+
+
+def oracle_mult_a(m: Monomial, i: int, k: int, sign: int = 1) -> Monomial:
+    """The definition: m times A(i,k)^sign built as a monomial of its own."""
+    factor = {
+        (i, k - 1): sign,
+        (i, k + 1): sign,
+        (i + 1, k): -sign,
+        (i - 1, k): -sign,
+    }
+    return m * Monomial(m.n, factor)
+
+
+def oracle_corner_monomial(lam: Partition, n: int) -> Monomial:
+    """The corner map from the corner boxes: Y(c,h-1) per addable corner,
+    Y(c,h+1)^-1 per removable corner."""
+    exp: dict[tuple[int, int], int] = {}
+    for b in lam.addable_boxes():
+        key = (residue(b, n), height(b) - 1)
+        exp[key] = exp.get(key, 0) + 1
+    for b in lam.removable_boxes():
+        key = (residue(b, n), height(b) + 1)
+        exp[key] = exp.get(key, 0) - 1
+    return Monomial(n, exp)
 
 
 def random_partition(rng: random.Random, steps: int) -> Partition:

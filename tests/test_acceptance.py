@@ -171,10 +171,11 @@ def test_criterion_5_odd_rank_bijection():
         g1 = generate_graph("partition", n, 12)
         g2 = generate_graph("monomial", n, 12)
 
-        def label_map(text, n=n):
-            return format_monomial(partition_to_monomial(parse_partition(text), n))
+        def agree(v1, v2, n=n):
+            lam = parse_partition(g1.vertices[v1])
+            return partition_to_monomial(lam, n) == parse_monomial(g2.vertices[v2], n)
 
-        result = compare_graphs(g1, g2, label_map)
+        result = compare_graphs(g1, g2, agree)
         assert result.isomorphic, result.mismatch
         assert len(result.bijection) == len(g1.vertices)
     elapsed = time.perf_counter() - t0
@@ -339,10 +340,13 @@ def test_criterion_10_property_laws():
         n = rng.choice([3, 4, 5])
         size = rng.randint(1, 5)
         labels = [format_partition(random_partition(rng, 6)) for _ in range(size)]
-        edges = [
-            (rng.randrange(size), rng.randrange(size), rng.randrange(n))
-            for _ in range(rng.randint(0, 4))
-        ]
+        # a crystal graph has at most one out-edge of each color per vertex
+        edges, out_colors = [], set()
+        for _ in range(rng.randint(0, 4)):
+            src, dst, color = rng.randrange(size), rng.randrange(size), rng.randrange(n)
+            if (src, color) not in out_colors:
+                out_colors.add((src, color))
+                edges.append((src, dst, color))
         g = CrystalGraph(
             model=rng.choice(["partition", "monomial"]),
             n=n,

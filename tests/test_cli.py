@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -99,6 +100,29 @@ class TestGraph:
         assert code == 0
         assert 'v0 [label="Y(0,0)"];' in out
 
+    # sha256 of the output of the implementation before the monomial
+    # representation changed; factor order and formatting must not move
+    @pytest.mark.parametrize(
+        "model, fmt, digest",
+        [
+            ("partition", "json",
+             "ec2d6237d465f192b3baa15bbbcb50b64c58805681cf464ec6568406259ed65e"),
+            ("partition", "dot",
+             "d588fb6c3e50cb8583f2b16f7c710b23e5d2109339175e5cbea19789c1fe1de7"),
+            ("monomial", "json",
+             "e01180f6f6187a9754f3ef79872410f088c511fa40e0d11eb37b14587a81b78d"),
+            ("monomial", "dot",
+             "56bf96ad5534d5409471f9226ce877d852e84fdc17141585c013be44d8e479fd"),
+        ],
+    )
+    def test_golden_bytes(self, capsys, model, fmt, digest):
+        code, out, _ = run(
+            capsys, "--n", "4", "--format", fmt, "graph",
+            "--model", model, "--depth", "10",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_text_format_rejected(self, capsys):
         code, _, err = run(capsys, "--n", "3", "graph", "--depth", "1")
         assert code == 2
@@ -181,6 +205,31 @@ class TestUsage:
         code, _, err = run(capsys, "--n", "2", "count", "--max", "1")
         assert code == 2
         assert "at least 3" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "3", "--format", "json", "graph", "--depth", "-1"],
+            ["--n", "3", "count", "--max", "-1"],
+            ["--n", "3", "--arm", "random:5:0", "count", "--max", "3"],
+            ["--n", "3", "validate-arm", "--horizon", "0"],
+        ],
+        ids=["negative-depth", "negative-max", "zero-arm-horizon", "zero-horizon"],
+    )
+    def test_out_of_range_bound(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_non_integer_arm_token(self, capsys, tmp_path):
+        path = tmp_path / "arm.txt"
+        path.write_text("1 x 2\n")
+        code, _, err = run(
+            capsys, "--n", "3", "--arm", f"file:{path}",
+            "validate-arm", "--horizon", "3",
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:

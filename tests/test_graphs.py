@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from affinecrystal import (
@@ -9,6 +11,7 @@ from affinecrystal import (
     export_dot,
     export_json,
     format_monomial,
+    format_partition,
     generate_graph,
     graph_from_json,
     horizontal_arm,
@@ -22,11 +25,13 @@ from affinecrystal.errors import DepthMismatch, ParseError, RankMismatch
 from helpers import max_multiplicity, oracle_partitions
 
 
-def psi_label_map(n):
-    def label_map(text):
-        return format_monomial(partition_to_monomial(parse_partition(text), n))
+def psi_agree(n, partitions, monomials):
+    """Paired ids agree when the corner map takes one vertex to the other."""
 
-    return label_map
+    def agree(v1, v2):
+        return partition_to_monomial(partitions[v1], n) == monomials[v2]
+
+    return agree
 
 
 class TestGeneration:
@@ -98,13 +103,36 @@ class TestGeneration:
 
 
 class TestComparison:
-    def test_psi_bijection(self):
-        n, depth = 4, 8
-        g1 = generate_graph("partition", n, depth)
-        g2 = generate_graph("monomial", n, depth)
-        result = compare_graphs(g1, g2, psi_label_map(n))
-        assert result.isomorphic
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_psi_bijection(self, n):
+        depth = 12
+        partitions, monomials = [], []
+        g1 = generate_graph("partition", n, depth, None, partitions)
+        g2 = generate_graph("monomial", n, depth, None, monomials)
+        assert [format_partition(lam) for lam in partitions] == g1.vertices
+        assert [format_monomial(m) for m in monomials] == g2.vertices
+        checked = []
+        corner_map_agrees = psi_agree(n, partitions, monomials)
+
+        def agree(v1, v2):
+            checked.append(v1)
+            return corner_map_agrees(v1, v2)
+
+        result = compare_graphs(g1, g2, agree)
+        assert result.isomorphic, result.mismatch
         assert len(result.bijection) == len(g1.vertices) == len(g2.vertices)
+        assert sorted(checked) == list(range(len(g1.vertices)))
+
+    def test_psi_disagreement_witnessed(self):
+        n = 4
+        partitions, monomials = [], []
+        g1 = generate_graph("partition", n, 5, None, partitions)
+        g2 = generate_graph("monomial", n, 5, None, monomials)
+        last = len(monomials) - 1
+        monomials[last] = monomials[0]
+        result = compare_graphs(g1, g2, psi_agree(n, partitions, monomials))
+        assert result.mismatch.kind == "label-mismatch"
+        assert result.mismatch.vertex2 == last
 
     def test_two_random_arms_structurally_equal(self):
         n, depth = 3, 8
@@ -124,9 +152,12 @@ class TestComparison:
     def test_label_mismatch_witnessed(self):
         g1 = generate_graph("partition", 3, 3)
         g2 = generate_graph("monomial", 3, 3)
-        result = compare_graphs(g1, g2, lambda text: text)
+        result = compare_graphs(
+            g1, g2, lambda v1, v2: g1.vertices[v1] == g2.vertices[v2]
+        )
         assert not result.isomorphic
         assert result.mismatch.kind == "label-mismatch"
+        assert result.mismatch.vertex1 == g1.root
 
     def test_depth_guard(self):
         with pytest.raises(DepthMismatch):
@@ -197,6 +228,34 @@ class TestExport:
             graph_from_json("{not json")
         with pytest.raises(ParseError):
             graph_from_json('{"model": "partition"}')
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc["vertices"][-1].update(id=-1),
+            lambda doc: doc["vertices"][1].update(id=0),
+            lambda doc: doc["vertices"][1].update(id=len(doc["vertices"])),
+            lambda doc: doc["vertices"][1].update(id="1"),
+            lambda doc: doc["vertices"][1].update(label=5),
+            lambda doc: doc["edges"][0].update(dst=len(doc["vertices"])),
+            lambda doc: doc["edges"][0].update(src=-1),
+            lambda doc: doc["edges"][0].update(color=doc["n"]),
+            lambda doc: doc["edges"][0].update(color=-1),
+            lambda doc: doc["edges"].append(dict(doc["edges"][0], dst=2)),
+            lambda doc: doc.update(root=len(doc["vertices"])),
+            lambda doc: doc.update(n=2),
+        ],
+        ids=[
+            "negative-id", "duplicate-id", "id-past-end", "string-id", "int-label",
+            "dst-out-of-range", "negative-src", "color-n", "negative-color",
+            "two-out-edges-one-color", "root-out-of-range", "rank-too-small",
+        ],
+    )
+    def test_malformed_graph_rejected(self, corrupt):
+        doc = json.loads(export_json(generate_graph("partition", 3, 3)))
+        corrupt(doc)
+        with pytest.raises(ParseError):
+            graph_from_json(json.dumps(doc))
 
     def test_handmade_graph_round_trip(self):
         g = CrystalGraph(

@@ -27,6 +27,7 @@ from helpers import (
     box_tokens_as_slots,
     cancel_matching_slot_pairs,
     monomial_tokens_as_slots,
+    oracle_corner_monomial,
     random_partition,
 )
 
@@ -72,6 +73,15 @@ class TestCornerMap:
     def test_rank_guard(self):
         with pytest.raises(RankTooSmall):
             partition_to_monomial(Partition(), 2)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_against_corner_boxes(self, n):
+        for m in range(13):
+            for lam in partitions_of_size(m):
+                got = partition_to_monomial(lam, n)
+                expected = oracle_corner_monomial(lam, n)
+                assert got == expected and hash(got) == hash(expected), lam
+                assert got.factors() == expected.factors()
 
     def test_exponent_sum_is_one(self):
         rng = random.Random(17)

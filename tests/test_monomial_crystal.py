@@ -27,6 +27,7 @@ from affinecrystal.errors import (
 )
 from helpers import (
     oracle_monomial_stats,
+    oracle_mult_a,
     random_monomial,
     random_reachable_monomial,
 )
@@ -105,6 +106,22 @@ class TestMultA:
     def test_bad_sign(self):
         with pytest.raises(ValueError):
             mult_a(one(3), 0, 0, 2)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_against_definition(self, n):
+        rng = random.Random(40 + n)
+        for trial in range(300):
+            m = random_monomial(rng, n)
+            i, k, sign = rng.randrange(n), rng.randint(-6, 12), rng.choice([1, -1])
+            if trial % 2:
+                # plant the inverse of some lattice-factor terms so they cancel
+                planted = oracle_mult_a(one(n), i, k, -sign).factors()
+                m = m * Monomial(n, dict(rng.sample(planted, rng.randint(1, 4))))
+            got = mult_a(m, i, k, sign)
+            assert got == oracle_mult_a(m, i, k, sign)
+            assert hash(got) == hash(oracle_mult_a(m, i, k, sign))
+            assert all(u != 0 for _, u in got.factors())
+            assert got == Monomial(n, dict(got.factors()))
 
 
 class TestWeight:
@@ -259,6 +276,25 @@ class TestMonomialValue:
 
     def test_hashable(self):
         assert len({y(4, 0, 0), y(4, 0, 0), one(4)}) == 2
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_equal_monomials_hash_equal(self, n):
+        rng = random.Random(60 + n)
+        for _ in range(200):
+            m = random_monomial(rng, n)
+            exps = dict(m.factors())
+            shifted = Monomial(n, {(i + n * rng.randint(-2, 2), k): u
+                                   for (i, k), u in exps.items()})
+            reordered = Monomial(n, dict(reversed(list(exps.items()))))
+            i, k = rng.randrange(n), rng.randint(-6, 12)
+            multiplied = m * y(n, i, k, 3) * y(n, i + n, k, -3)
+            # k = 99 lies outside random_monomial's range, so these two raw
+            # keys meet only in the constructor, which cancels them
+            constructed = Monomial(n, {(i - n, 99): 1, (i, 99): -1, **exps})
+            round_trip = mult_a(mult_a(m, i, k, 1), i, k, -1)
+            for other in (shifted, reordered, multiplied, constructed, round_trip):
+                assert other == m
+                assert hash(other) == hash(m)
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
