@@ -7,7 +7,7 @@ map identifies the two models; graph tooling generates, compares, counts,
 and exports the resulting colored digraphs.
 """
 
-from ._backend import available_backends, backend_name
+from ._backend import backend_name
 from .arms import (
     ArmSequence,
     ArmViolation,

@@ -1,44 +1,12 @@
-"""Kernel selection: compiled extension when present, pure Python otherwise.
+"""The partition kernel.
 
-Set ``AFFINECRYSTAL_BACKEND=python`` or ``=cython`` to force a choice; the
-cython value raises at import time if the extension was not built.  Both
-kernels expose the identical surface and are differentially tested against
-each other.
+Callers look up ``kernel.<function>`` at call time, so a profiler can swap
+``kernel`` for a wrapper.
 """
 
-import os
-
-from . import _kernel_py
-
-try:
-    from . import _kernel as _kernel_cy
-except ImportError:
-    _kernel_cy = None
-
-_forced = os.environ.get("AFFINECRYSTAL_BACKEND", "").strip().lower()
-
-if _forced in ("python", "py", "pure"):
-    kernel = _kernel_py
-elif _forced in ("cython", "c", "compiled"):
-    if _kernel_cy is None:
-        raise ImportError(
-            "AFFINECRYSTAL_BACKEND requests the compiled kernel but "
-            "affinecrystal._kernel is not built"
-        )
-    kernel = _kernel_cy
-elif _forced:
-    raise ImportError(f"unknown AFFINECRYSTAL_BACKEND value {_forced!r}")
-else:
-    kernel = _kernel_cy if _kernel_cy is not None else _kernel_py
+from . import _kernel_py as kernel
 
 
 def backend_name() -> str:
-    """Which kernel is active: "cython" or "python"."""
-    return "python" if kernel is _kernel_py else "cython"
-
-
-def available_backends() -> list[str]:
-    out = ["python"]
-    if _kernel_cy is not None:
-        out.append("cython")
-    return out
+    """Name of the partition kernel in use."""
+    return "python"

@@ -1,28 +1,30 @@
-"""Pure-Python kernels for the partition-side hot loops.
+"""Kernels for the partition-side hot loops.
 
-Same surface as the compiled module ``_kernel``: raw part tuples in, raw
-part tuples out.  Arm sequences arrive flattened as ``(kind, table)`` where
-kind 0 means the horizontal formula and kind 1 a value table indexed from
-t = 1.  High-level wrappers live in :mod:`affinecrystal.partition_crystal`.
+Raw part tuples in, raw part tuples out.  An arm sequence arrives as its
+value table, indexed from t = 1, or as None for the horizontal formula.
+High-level wrappers live in :mod:`affinecrystal.partition_crystal`.
 """
 
 from functools import cmp_to_key
 
 from .errors import HorizonExceedsTable
 
-ARM_HORIZONTAL = 0
-ARM_TABLE = 1
+
+def horizontal_value(n, t):
+    """A_t = ceil(n t / 2) - 1, the height-ordered arm sequence."""
+    return (n * t + 1) // 2 - 1
 
 
-def arm_value(t, kind, table, n):
-    if kind == ARM_HORIZONTAL:
-        return (n * t + 1) // 2 - 1
+def arm_value(t, n, table):
+    """A_t from ``table``, or from the horizontal formula when it is None."""
+    if table is None:
+        return horizontal_value(n, t)
     if t > len(table):
         raise HorizonExceedsTable(t, len(table))
     return table[t - 1]
 
 
-def corner_tokens(parts, i, n, kind, table):
+def corner_tokens(parts, i, n, table):
     """Residue-i corners as (row, col, side) with side +1 addable, -1 removable.
 
     Sorted so the list reads strictly decreasing in the arm-sequence order.
@@ -44,9 +46,9 @@ def corner_tokens(parts, i, n, kind, table):
         # nonzero multiple of n and the order is total
         t = ((a[1] - a[0]) - (b[1] - b[0])) // n
         if t > 0:
-            gt = a[1] - b[1] > arm_value(t, kind, table, n)
+            gt = a[1] - b[1] > arm_value(t, n, table)
         else:
-            gt = not (b[1] - a[1] > arm_value(-t, kind, table, n))
+            gt = not (b[1] - a[1] > arm_value(-t, n, table))
         return -1 if gt else 1
 
     toks.sort(key=cmp_to_key(cmp))
@@ -83,31 +85,31 @@ def _remove(parts, r):
     return parts[: r - 1] + (p,) + parts[r:]
 
 
-def f_step(parts, i, n, kind, table):
+def f_step(parts, i, n, table):
     """Add the box of the leftmost unmatched '(' or return None."""
-    toks = corner_tokens(parts, i, n, kind, table)
+    toks = corner_tokens(parts, i, n, table)
     _, _, _, first_open = _scan(toks)
     if first_open < 0:
         return None
     return _add(parts, toks[first_open][0])
 
 
-def e_step(parts, i, n, kind, table):
+def e_step(parts, i, n, table):
     """Remove the box of the rightmost unmatched ')' or return None."""
-    toks = corner_tokens(parts, i, n, kind, table)
+    toks = corner_tokens(parts, i, n, table)
     _, _, last_close, _ = _scan(toks)
     if last_close < 0:
         return None
     return _remove(parts, toks[last_close][0])
 
 
-def unmatched_counts(parts, i, n, kind, table):
-    toks = corner_tokens(parts, i, n, kind, table)
+def unmatched_counts(parts, i, n, table):
+    toks = corner_tokens(parts, i, n, table)
     eps, phi, _, _ = _scan(toks)
     return eps, phi
 
 
-def is_regular(parts, n, kind, table):
+def is_regular(parts, n, table):
     """True when no box has hook n*t together with arm A_t."""
     if not parts:
         return True
@@ -118,6 +120,6 @@ def is_regular(parts, n, kind, table):
     for r, p in enumerate(parts, 1):
         for c in range(1, p + 1):
             h = p - c + conj[c - 1] - r + 1
-            if h % n == 0 and p - c == arm_value(h // n, kind, table, n):
+            if h % n == 0 and p - c == arm_value(h // n, n, table):
                 return False
     return True

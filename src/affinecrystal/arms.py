@@ -19,6 +19,7 @@ import random
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _backend
+from ._kernel_py import arm_value, horizontal_value  # noqa: F401 (public here)
 from .errors import (
     AxiomIIViolation,
     AxiomIViolation,
@@ -29,14 +30,6 @@ from .errors import (
     ParseError,
 )
 from .partitions import Box, Partition, arm, check_rank, hook
-
-ARM_HORIZONTAL = 0
-ARM_TABLE = 1
-
-
-def horizontal_value(n: int, t: int) -> int:
-    """A_t = ceil(n t / 2) - 1, the height-ordered arm sequence."""
-    return (n * t + 1) // 2 - 1
 
 
 class ArmSequence:
@@ -64,20 +57,11 @@ class ArmSequence:
 
     def value(self, t: int) -> int:
         if t < 1:
-            raise ValueError(f"arm sequences start at t = 1, got {t}")
-        if self.values is None:
-            return horizontal_value(self.n, t)
-        if t > len(self.values):
-            raise HorizonExceedsTable(t, len(self.values))
-        return self.values[t - 1]
+            raise BoundOutOfRange(f"arm sequences start at t = 1, got {t}")
+        return arm_value(t, self.n, self.values)
 
     def __getitem__(self, t: int) -> int:
         return self.value(t)
-
-    def kernel_spec(self) -> tuple[int, tuple[int, ...] | None]:
-        if self.values is None:
-            return ARM_HORIZONTAL, None
-        return ARM_TABLE, self.values
 
     def __repr__(self):
         if self.descriptor:
@@ -221,5 +205,4 @@ def is_illegal_box(lam: Partition, b: Box, a: ArmSequence) -> bool:
 
 def is_regular(lam: Partition, a: ArmSequence) -> bool:
     """Membership test for the regular set: no box of ``lam`` is illegal."""
-    kind, table = a.kernel_spec()
-    return _backend.kernel.is_regular(lam.parts, a.n, kind, table)
+    return _backend.kernel.is_regular(lam.parts, a.n, a.values)

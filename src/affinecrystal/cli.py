@@ -96,7 +96,7 @@ def _parse_word(word: str, n: int) -> list[tuple[str, int]]:
     ops = []
     for tok in word.split(","):
         tok = tok.strip()
-        if len(tok) < 2 or tok[0] not in "ef" or not tok[1:].isdigit():
+        if len(tok) < 2 or tok[0] not in "ef" or not tok[1:].isdecimal():
             raise CrystalError(f"bad operator token {tok!r}")
         ops.append((tok[0], int(tok[1:]) % n))
     return ops

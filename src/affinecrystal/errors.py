@@ -27,7 +27,11 @@ class RankTooSmall(CrystalError, ValueError):
 
 
 class BoundOutOfRange(CrystalError, ValueError):
-    """A depth, size or horizon bound is below its smallest allowed value."""
+    """A depth, size, horizon or index is below its smallest allowed value."""
+
+
+class UnknownChoice(CrystalError, ValueError):
+    """An argument is none of the values it may take: model, mode or sign."""
 
 
 class BoxOutside(CrystalError, ValueError):
@@ -112,4 +116,4 @@ class DepthMismatch(CrystalError, ValueError):
 
 
 class RankMismatch(CrystalError, ValueError):
-    """Graph comparison needs graphs over the same rank."""
+    """Monomial products and graph comparison need operands over the same rank."""

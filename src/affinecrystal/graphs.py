@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .arms import ArmSequence, horizontal_arm, is_regular
-from .errors import BoundOutOfRange, DepthMismatch, ParseError, RankMismatch
+from .errors import (
+    BoundOutOfRange,
+    DepthMismatch,
+    ParseError,
+    RankMismatch,
+    UnknownChoice,
+)
 from .monomial_crystal import f_m, format_monomial, y
 from .partition_crystal import f_down
 from .partitions import Partition, check_rank, partitions_of_size
@@ -83,7 +89,7 @@ def generate_graph(
 
         arm_descriptor = None
     else:
-        raise ValueError(f"unknown model {model!r}")
+        raise UnknownChoice(f"unknown model {model!r}")
 
     vertices = [label(root)]
     ids = {root: 0}

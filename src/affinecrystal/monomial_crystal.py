@@ -21,7 +21,9 @@ from .brackets import CLOSE, OPEN, BracketString
 from .errors import (
     CompatibilityUndefinedForOddN,
     ParseError,
+    RankMismatch,
     ResidueOutOfRange,
+    UnknownChoice,
     ZeroExponent,
 )
 from .partitions import check_rank
@@ -74,7 +76,7 @@ class Monomial:
         if not isinstance(other, Monomial):
             return NotImplemented
         if self.n != other.n:
-            raise ValueError("cannot multiply monomials over different ranks")
+            raise RankMismatch("cannot multiply monomials over different ranks")
         exp = dict(self._exp)
         for key, u in other._exp.items():
             v = exp.get(key, 0) + u
@@ -184,7 +186,7 @@ def format_monomial(m: Monomial) -> str:
 def mult_a(m: Monomial, i: int, k: int, sign: int = 1) -> Monomial:
     """Multiply by A(i,k)^sign with cancellation (sign is +1 or -1)."""
     if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+        raise UnknownChoice(f"sign must be +1 or -1, got {sign}")
     n = m.n
     i %= n
     exp = dict(m._exp)
@@ -260,7 +262,7 @@ def monomial_bracket_string(m: Monomial, i: int) -> BracketString:
 
 def _check_mode(mode: str) -> None:
     if mode not in ("analytic", "bracket"):
-        raise ValueError(f"mode must be 'analytic' or 'bracket', got {mode!r}")
+        raise UnknownChoice(f"mode must be 'analytic' or 'bracket', got {mode!r}")
 
 
 def e_m(m: Monomial, i: int, mode: str = "analytic") -> Monomial | None:

@@ -13,11 +13,11 @@ remains the source of truth and the key is verified against it.
 
 from __future__ import annotations
 
-from . import _backend, _kernel_py
+from . import _backend
 from .arms import ArmSequence
 from .brackets import CLOSE, OPEN, BracketString
 from .errors import ResidueMismatch, SameBox
-from .partitions import Box, Partition, content, height, residue
+from .partitions import Box, Partition, content, height
 
 
 def box_order_gt(b: Box, b_prime: Box, a: ArmSequence) -> bool:
@@ -49,8 +49,7 @@ def horizontal_key(b: Box) -> tuple[int, int]:
 def bracket_string(lam: Partition, i: int, a: ArmSequence) -> BracketString:
     """All color-i corners of ``lam`` as an ordered, matched bracket string."""
     i %= a.n
-    kind, table = a.kernel_spec()
-    toks = _kernel_py.corner_tokens(lam.parts, i, a.n, kind, table)
+    toks = _backend.kernel.corner_tokens(lam.parts, i, a.n, a.values)
     return BracketString.build(
         [(OPEN if side > 0 else CLOSE, Box(r, c)) for r, c, side in toks]
     )
@@ -58,22 +57,19 @@ def bracket_string(lam: Partition, i: int, a: ArmSequence) -> BracketString:
 
 def f_down(lam: Partition, i: int, a: ArmSequence) -> Partition | None:
     """Lowering operator: adds one color-i box, or None when annihilated."""
-    kind, table = a.kernel_spec()
-    parts = _backend.kernel.f_step(lam.parts, i % a.n, a.n, kind, table)
+    parts = _backend.kernel.f_step(lam.parts, i % a.n, a.n, a.values)
     return None if parts is None else Partition(parts)
 
 
 def e_up(lam: Partition, i: int, a: ArmSequence) -> Partition | None:
     """Raising operator: removes one color-i box, or None when annihilated."""
-    kind, table = a.kernel_spec()
-    parts = _backend.kernel.e_step(lam.parts, i % a.n, a.n, kind, table)
+    parts = _backend.kernel.e_step(lam.parts, i % a.n, a.n, a.values)
     return None if parts is None else Partition(parts)
 
 
 def eps_phi(lam: Partition, i: int, a: ArmSequence) -> tuple[int, int]:
     """Counts of unmatched ')' and '(' in the color-i bracket string."""
-    kind, table = a.kernel_spec()
-    return _backend.kernel.unmatched_counts(lam.parts, i % a.n, a.n, kind, table)
+    return _backend.kernel.unmatched_counts(lam.parts, i % a.n, a.n, a.values)
 
 
 def f_box(lam: Partition, i: int, a: ArmSequence) -> Box | None:
@@ -99,5 +95,4 @@ __all__ = [
     "eps_phi",
     "f_box",
     "e_box",
-    "residue",
 ]

@@ -22,6 +22,7 @@ from affinecrystal.arms import horizontal_value
 from affinecrystal.errors import (
     AxiomIIViolation,
     AxiomIViolation,
+    BoundOutOfRange,
     BoxOutside,
     EmptyArmTable,
     HorizonExceedsTable,
@@ -39,6 +40,10 @@ class TestHorizontal:
         assert horizontal_arm(3).value(3) == 4
         assert horizontal_arm(4).value(2) == 3
         assert horizontal_arm(3).value(1) == 1
+
+    def test_index_starts_at_one(self):
+        with pytest.raises(BoundOutOfRange):
+            horizontal_arm(3).value(0)
 
     def test_rank(self):
         with pytest.raises(RankTooSmall):

@@ -1,9 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affinecrystal import graph_from_json
+from affinecrystal import Partition, format_partition, graph_from_json
 from affinecrystal.cli import main
 
 BIG = "[11,7,4,2,1,1,1,1,1,1]"
@@ -235,3 +239,73 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["--n", "3", "frobnicate"])
         assert err.value.code == 2
+
+
+# Each text is drawn half the time from well-formed tokens and half from an
+# alphabet with malformed ones mixed in: signs, letters, empty tokens, a
+# non-decimal digit (superscript two) and a decimal non-ASCII one.
+def _text(join, good, bad, max_size):
+    return st.one_of(*(st.builds(join, st.lists(st.sampled_from(alphabet),
+                                                min_size=1, max_size=max_size))
+                       for alphabet in (good, good + bad)))
+
+
+PART_TEXT = st.one_of(
+    st.lists(st.integers(1, 4), max_size=6).map(
+        lambda parts: format_partition(Partition(sorted(parts, reverse=True)))),
+    st.builds(
+        lambda wrap, toks: wrap[0] + ",".join(toks) + wrap[1],
+        st.sampled_from([("[", "]"), ("[", ""), ("", "]"), ("(", ")")]),
+        st.lists(st.sampled_from(["1", "3", "0", "-1", "x", "", "\u00b2",
+                                  "\u0663"]), max_size=6),
+    ),
+)
+MONOMIAL_TEXT = _text(
+    "*".join, ["Y(0,0)", "Y(1,-1)^-1", "Y(2,3)^2", "1"],
+    ["Y(9,0)", "Y(0,0)^0", "Y(a,0)", "Y(0,0", "", "Y(\u0663,1)"], 4)
+WORD = _text(
+    ",".join, ["f0", "f1", "f2", "f3", "e0", "e1", "e5"],
+    ["f", "g1", "f-1", " f1", "", "f\u00b2", "f\u0663"], 6)
+ARM_TOKENS = _text(
+    " ".join, ["0", "1", "2", "3", "4", "5"], ["-1", "x", "1.5", "\u00b2"], 6)
+ARM = st.one_of(st.just("horizontal"), st.sampled_from(
+    ["file", "random:1:12", "random:1:2", "random:x", "bogus"]))
+
+
+@pytest.fixture(scope="module")
+def arm_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "arm.txt"
+
+
+@given(
+    n=st.integers(3, 6),
+    command=st.sampled_from(["apply", "psi", "check", "validate-arm"]),
+    obj=st.one_of(PART_TEXT, MONOMIAL_TEXT),
+    word=WORD,
+    arm=ARM,
+    arm_tokens=ARM_TOKENS,
+    horizon=st.integers(-1, 8),
+)
+@settings(max_examples=300, deadline=None)
+def test_fuzz_exit_codes(arm_path, n, command, obj, word, arm, arm_tokens,
+                         horizon):
+    """Every run exits 0, 1 or 2; argparse may exit 2; nothing else escapes."""
+    arm_path.write_text(arm_tokens)
+    if arm == "file":
+        arm = f"file:{arm_path}"
+    argv = ["--n", str(n), "--arm", arm, command]
+    if command == "apply":
+        argv += [obj, word]
+    elif command in ("psi", "check"):
+        argv.append(obj)
+    else:
+        argv = ["--n", str(n), "--arm", f"file:{arm_path}", command,
+                "--horizon", str(horizon)]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            return
+    assert code in (0, 1, 2)

@@ -21,7 +21,12 @@ from affinecrystal import (
     random_arm,
     weight,
 )
-from affinecrystal.errors import DepthMismatch, ParseError, RankMismatch
+from affinecrystal.errors import (
+    DepthMismatch,
+    ParseError,
+    RankMismatch,
+    UnknownChoice,
+)
 from helpers import max_multiplicity, oracle_partitions
 
 
@@ -53,7 +58,7 @@ class TestGeneration:
         assert a == b
 
     def test_bad_model(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownChoice):
             generate_graph("tableau", 3, 2)
 
     @pytest.mark.parametrize("model", ["partition", "monomial"])

@@ -22,7 +22,9 @@ from affinecrystal import (
 from affinecrystal.errors import (
     CompatibilityUndefinedForOddN,
     ParseError,
+    RankMismatch,
     ResidueOutOfRange,
+    UnknownChoice,
     ZeroExponent,
 )
 from helpers import (
@@ -104,7 +106,7 @@ class TestMultA:
                 assert delta == {i: -2, (i + 1) % n: 1, (i - 1) % n: 1}
 
     def test_bad_sign(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownChoice):
             mult_a(one(3), 0, 0, 2)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -227,8 +229,10 @@ class TestOperators:
         assert e_m(down, 2) == mult_a(down, 2, 10, +1) != m
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownChoice):
             e_m(one(3), 0, "fast")
+        with pytest.raises(UnknownChoice):
+            f_m(one(3), 0, "x")
 
 
 class TestBracketString:
@@ -271,7 +275,7 @@ class TestMonomialValue:
         assert y(4, 5, 0) == y(4, 1, 0)
 
     def test_rank_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(RankMismatch):
             y(3, 0, 0) * y(4, 0, 0)
 
     def test_hashable(self):

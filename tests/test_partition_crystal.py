@@ -180,8 +180,11 @@ class TestOperators:
         # two corners far apart need A_t beyond the table
         a = random_arm(3, 2, seed=1)
         lam = parse_partition("[9,1,1]")
+        for op in (bracket_string, f_down, e_up, eps_phi):
+            with pytest.raises(HorizonExceedsTable):
+                op(lam, 0, a)
         with pytest.raises(HorizonExceedsTable):
-            bracket_string(lam, 0, a)
+            is_regular(parse_partition("[8,1]"), a)  # corner hook 9 needs A_3
 
 
 class TestClosure:
