@@ -109,17 +109,106 @@ def unmatched_counts(parts, i, n, table):
     return eps, phi
 
 
+class _PastTable:
+    """Stands in for A_t past the end of a table.
+
+    Comparing an arm with it raises HorizonExceedsTable, so a scan raises
+    exactly when it reaches the first box that needs A_t.
+    """
+
+    __slots__ = ("t", "horizon")
+
+    def __init__(self, t, horizon):
+        self.t = t
+        self.horizon = horizon
+
+    def __eq__(self, arm):
+        raise HorizonExceedsTable(self.t, self.horizon)
+
+
+def _illegal_arms(n, table, max_hook):
+    """List indexed by hook h <= max_hook: A_(h/n) when n divides h, else -1.
+
+    That is the one arm that makes a box of hook h illegal.
+    """
+    out = [-1] * (max_hook + 1)
+    for t in range(1, max_hook // n + 1):
+        if table is not None and t > len(table):
+            out[n * t] = _PastTable(t, len(table))
+        else:
+            out[n * t] = arm_value(t, n, table)
+    return out
+
+
+def _row_illegal(p, legs, shift, illegal_arm):
+    """True when a row of length p has an illegal box; scans left to right.
+
+    The box in column c + 1 has arm p - 1 - c and leg legs[c] + shift - 1,
+    so its hook is arm + legs[c] + shift.
+    """
+    a = p
+    for leg in legs[:p]:
+        a -= 1
+        if illegal_arm[a + leg + shift] == a:
+            return True
+    return False
+
+
 def is_regular(parts, n, table):
-    """True when no box has hook n*t together with arm A_t."""
+    """True when no box has hook n*t together with arm A_t.
+
+    Scans the top row first, each row left to right, so a table too short
+    for some box raises only if no illegal box comes before it.
+    """
     if not parts:
         return True
-    conj = [0] * parts[0]
-    for p in parts:
-        for c in range(p):
-            conj[c] += 1
-    for r, p in enumerate(parts, 1):
-        for c in range(1, p + 1):
-            h = p - c + conj[c - 1] - r + 1
-            if h % n == 0 and p - c == arm_value(h // n, n, table):
-                return False
+    conj = []
+    for r in range(len(parts), 0, -1):
+        conj.extend([r] * (parts[r - 1] - len(conj)))
+    illegal_arm = _illegal_arms(n, table, parts[0] + len(parts) - 1)
+    # rows 1..r + 1 all reach every column of row r + 1, so the leg of
+    # its box in column c + 1 is conj[c] - r - 1
+    for r, p in enumerate(parts):
+        if _row_illegal(p, conj, -r, illegal_arm):
+            return False
     return True
+
+
+def regular_counts(n, table, max_size):
+    """Number of regular partitions of each size 0..max_size.
+
+    Removing the first row of a regular partition leaves a regular
+    partition, so every regular partition is grown from the empty one by
+    prepending rows p >= the current first part, each checked with
+    :func:`_row_illegal` against the rows already placed.  A prepended row
+    that has an illegal box is pruned with everything above it.
+    """
+    if table is not None and max_size >= n * (len(table) + 1):
+        # the one-row partition of that size has hook n * (horizon + 1)
+        # at (1, 1); below that size every hook is within the table
+        raise HorizonExceedsTable(len(table) + 1, len(table))
+    illegal_arm = _illegal_arms(n, table, max_size)
+    counts = [1] + [0] * max_size
+    below = [0] * max_size
+    rows = []  # placed parts, last row first
+    size = 0
+    choices = [iter(range(1, max_size + 1))]  # next row candidates per depth
+    while choices:
+        for p in choices[-1]:
+            if not _row_illegal(p, below, 1, illegal_arm):
+                break
+        else:
+            choices.pop()
+            if rows:
+                p = rows.pop()
+                size -= p
+                for c in range(p):
+                    below[c] -= 1
+            continue
+        for c in range(p):
+            below[c] += 1
+        rows.append(p)
+        size += p
+        counts[size] += 1
+        choices.append(iter(range(p, max_size - size + 1)))
+    return counts

@@ -14,7 +14,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .arms import ArmSequence, horizontal_arm, is_regular
+from . import _backend
+from .arms import ArmSequence, horizontal_arm
 from .errors import (
     BoundOutOfRange,
     DepthMismatch,
@@ -24,7 +25,11 @@ from .errors import (
 )
 from .monomial_crystal import f_m, format_monomial, y
 from .partition_crystal import f_down
-from .partitions import Partition, check_rank, partitions_of_size
+from .partitions import Partition, check_rank
+
+# unused here; perfbench/tracing.py patches these two names on this module
+from .arms import is_regular  # noqa: F401
+from .partitions import partitions_of_size  # noqa: F401
 
 PARTITION_MODEL = "partition"
 MONOMIAL_MODEL = "monomial"
@@ -69,6 +74,8 @@ def generate_graph(
     if model == PARTITION_MODEL:
         if a is None:
             a = horizontal_arm(n)
+        elif a.n != n:
+            raise RankMismatch(f"arm sequence has rank {a.n}, graph has rank {n}")
         root = Partition()
 
         def step(v, i):
@@ -230,15 +237,25 @@ def compare_graphs(
 
 
 def count_regular(n: int, a: ArmSequence, max_size: int) -> list[int]:
-    """Number of regular partitions of each size 0..max_size, by exhaustive
-    enumeration."""
+    """Number of regular partitions of each size 0..max_size.
+
+    A box's hook (arm + leg + 1) depends only on its own row and the rows
+    below it, so removing the first row of a regular partition leaves a
+    regular partition.  The count therefore grows partitions from the last
+    row upward and checks only the boxes of each new first row; a row with
+    an illegal box is pruned together with every partition above it.
+
+    A table-backed ``a`` of horizon H covers every hook below n (H + 1).
+    For max_size >= n (H + 1) the one-row partition (n (H + 1)) needs
+    A_(H+1), so HorizonExceedsTable(H + 1, H) is raised before any
+    counting.
+    """
     check_rank(n)
+    if a.n != n:
+        raise RankMismatch(f"arm sequence has rank {a.n}, count has rank {n}")
     if max_size < 0:
         raise BoundOutOfRange(f"max_size must be >= 0, got {max_size}")
-    return [
-        sum(1 for lam in partitions_of_size(m) if is_regular(lam, a))
-        for m in range(max_size + 1)
-    ]
+    return _backend.kernel.regular_counts(n, a.values, max_size)
 
 
 def _dot_quote(text: str) -> str:

@@ -53,6 +53,20 @@ def oracle_is_regular(parts, n, arm_value):
     return True
 
 
+def oracle_regular_counts(n, max_size):
+    """Coefficients of prod over k with n not dividing k of 1/(1 - q^k).
+
+    Glaisher: these count partitions with no part divisible by n, which
+    are as many as the n-regular partitions of each size.
+    """
+    coeffs = [1] + [0] * max_size
+    for k in range(1, max_size + 1):
+        if k % n:
+            for m in range(k, max_size + 1):
+                coeffs[m] += coeffs[m - k]
+    return coeffs
+
+
 def oracle_monomial_stats(m: Monomial, i: int):
     """(eps, phi, p, q) by literally scanning L over a wide window."""
     ks = m.support(i)

@@ -217,8 +217,12 @@ class TestUsage:
             ["--n", "3", "count", "--max", "-1"],
             ["--n", "3", "--arm", "random:5:0", "count", "--max", "3"],
             ["--n", "3", "validate-arm", "--horizon", "0"],
+            ["--n", "3", "--arm", "random:5:2", "count", "--max", "9"],
         ],
-        ids=["negative-depth", "negative-max", "zero-arm-horizon", "zero-horizon"],
+        ids=[
+            "negative-depth", "negative-max", "zero-arm-horizon", "zero-horizon",
+            "count-past-arm-horizon",
+        ],
     )
     def test_out_of_range_bound(self, capsys, argv):
         code, _, err = run(capsys, *argv)

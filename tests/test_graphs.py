@@ -18,16 +18,24 @@ from affinecrystal import (
     parse_monomial,
     parse_partition,
     partition_to_monomial,
+    partitions_of_size,
     random_arm,
+    unchecked_arm,
     weight,
 )
 from affinecrystal.errors import (
     DepthMismatch,
+    HorizonExceedsTable,
     ParseError,
     RankMismatch,
     UnknownChoice,
 )
-from helpers import max_multiplicity, oracle_partitions
+from helpers import (
+    max_multiplicity,
+    oracle_is_regular,
+    oracle_partitions,
+    oracle_regular_counts,
+)
 
 
 def psi_agree(n, partitions, monomials):
@@ -56,6 +64,10 @@ class TestGeneration:
         a = generate_graph("partition", 4, 6)
         b = generate_graph("partition", 4, 6)
         assert a == b
+
+    def test_arm_of_another_rank(self):
+        with pytest.raises(RankMismatch):
+            generate_graph("partition", 5, 3, horizontal_arm(3))
 
     def test_bad_model(self):
         with pytest.raises(UnknownChoice):
@@ -199,6 +211,45 @@ class TestCounting:
             for m in range(10)
         ]
         assert got == expected
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_closed_form(self, n):
+        expected = oracle_regular_counts(n, 30)
+        assert count_regular(n, horizontal_arm(n), 30) == expected
+        for seed in (1, 2, 3):
+            assert count_regular(n, random_arm(n, 40, seed), 30) == expected
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_against_brute_force(self, n):
+        # the unchecked table breaks the arm axioms, so its counts are not
+        # the closed form, but the row-by-row traversal must still be exact
+        arms = [
+            horizontal_arm(n),
+            random_arm(n, 8, seed=n),
+            unchecked_arm(n, [(3 * t) % (2 * n) for t in range(1, 9)]),
+        ]
+        for a in arms:
+            expected = [
+                sum(1 for lam in partitions_of_size(m)
+                    if oracle_is_regular(lam.parts, n, a.value))
+                for m in range(15)
+            ]
+            assert count_regular(n, a, 14) == expected, a
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("horizon", [2, 3])
+    def test_horizon_boundary(self, n, horizon):
+        a = random_arm(n, horizon, seed=horizon)
+        last = n * (horizon + 1) - 1
+        assert len(count_regular(n, a, last)) == last + 1
+        for max_size in (last + 1, last + 1 + 2 * n):
+            with pytest.raises(HorizonExceedsTable) as err:
+                count_regular(n, a, max_size)
+            assert (err.value.t, err.value.horizon) == (horizon + 1, horizon)
+
+    def test_arm_of_another_rank(self):
+        with pytest.raises(RankMismatch):
+            count_regular(5, horizontal_arm(3), 6)
 
 
 class TestExport:

@@ -22,7 +22,7 @@ from affinecrystal import (
     residue,
 )
 from affinecrystal.errors import HorizonExceedsTable, ResidueMismatch, SameBox
-from helpers import random_partition
+from helpers import oracle_is_regular, oracle_partitions, random_partition
 
 BIG = parse_partition("[11,7,4,2,1,1,1,1,1,1]")
 H3, H4 = horizontal_arm(3), horizontal_arm(4)
@@ -185,6 +185,25 @@ class TestOperators:
                 op(lam, 0, a)
         with pytest.raises(HorizonExceedsTable):
             is_regular(parse_partition("[8,1]"), a)  # corner hook 9 needs A_3
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("horizon", [2, 3])
+    def test_is_regular_matches_oracle(self, n, horizon):
+        # both scan the top row first, left to right, so a table too short
+        # for some box raises on exactly the same partitions
+        a = random_arm(n, horizon, seed=n + horizon)
+
+        def outcome(check):
+            try:
+                return check()
+            except HorizonExceedsTable as exc:
+                return ("raises", exc.t)
+
+        for m in range(13):
+            for parts in oracle_partitions(m):
+                assert outcome(lambda: is_regular(Partition(parts), a)) == outcome(
+                    lambda: oracle_is_regular(parts, n, a.value)
+                ), parts
 
 
 class TestClosure:
