@@ -24,6 +24,11 @@ def arm_value(t, n, table):
     return table[t - 1]
 
 
+def _height_content(tok):
+    # height r + c - 1 and content c - r, each shifted by a constant
+    return tok[0] + tok[1], tok[1] - tok[0]
+
+
 def corner_tokens(parts, i, n, table):
     """Residue-i corners as (row, col, side) with side +1 addable, -1 removable.
 
@@ -40,6 +45,11 @@ def corner_tokens(parts, i, n, table):
             toks.append((r, p, -1))
     if (1 - (length + 1)) % n == i:
         toks.append((length + 1, 1, 1))
+    if table is None:
+        # the horizontal order: (height, content) descending, as
+        # partition_crystal.horizontal_key states it
+        toks.sort(key=_height_content, reverse=True)
+        return toks
 
     def cmp(a, b):
         # corners lie on distinct diagonals, so the content gap is a

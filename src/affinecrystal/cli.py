@@ -13,6 +13,7 @@ import sys
 from .arms import arm_from_descriptor, validate_arm
 from .errors import CrystalError
 from .graphs import (
+    MAX_COUNT_SIZE,
     MONOMIAL_MODEL,
     PARTITION_MODEL,
     compare_graphs,
@@ -84,7 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also require vertex labels to agree through the corner map")
 
     p = sub.add_parser("count", help="count regular partitions by size")
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=int, required=True,
+                   help=f"largest size, at most {MAX_COUNT_SIZE}")
 
     p = sub.add_parser("validate-arm", help="check the arm-sequence conditions")
     p.add_argument("--horizon", type=int, required=True)

@@ -17,7 +17,7 @@ from . import _backend
 from .arms import ArmSequence
 from .brackets import CLOSE, OPEN, BracketString
 from .errors import ResidueMismatch, SameBox
-from .partitions import Box, Partition, content, height
+from .partitions import Box, Partition, _trusted, content, height
 
 
 def box_order_gt(b: Box, b_prime: Box, a: ArmSequence) -> bool:
@@ -58,13 +58,13 @@ def bracket_string(lam: Partition, i: int, a: ArmSequence) -> BracketString:
 def f_down(lam: Partition, i: int, a: ArmSequence) -> Partition | None:
     """Lowering operator: adds one color-i box, or None when annihilated."""
     parts = _backend.kernel.f_step(lam.parts, i % a.n, a.n, a.values)
-    return None if parts is None else Partition(parts)
+    return None if parts is None else _trusted(parts)
 
 
 def e_up(lam: Partition, i: int, a: ArmSequence) -> Partition | None:
     """Raising operator: removes one color-i box, or None when annihilated."""
     parts = _backend.kernel.e_step(lam.parts, i % a.n, a.n, a.values)
-    return None if parts is None else Partition(parts)
+    return None if parts is None else _trusted(parts)
 
 
 def eps_phi(lam: Partition, i: int, a: ArmSequence) -> tuple[int, int]:

@@ -167,6 +167,19 @@ class Partition:
         return Partition(parts)
 
 
+_set_parts = Partition.parts.__set__
+
+
+def _trusted(parts: tuple) -> Partition:
+    """Wrap ``parts`` without copying or checking it.
+
+    Callers guarantee a tuple of positive, weakly decreasing ints, such as
+    a kernel result."""
+    lam = object.__new__(Partition)
+    _set_parts(lam, parts)
+    return lam
+
+
 def arm(lam: Partition, b: Box) -> int:
     """Number of boxes strictly to the right of ``b`` in its row."""
     if not lam.contains(b):
@@ -200,7 +213,12 @@ def parse_partition(text: str) -> Partition:
 
 def format_partition(lam: Partition) -> str:
     """Canonical text form, no spaces; inverse of :func:`parse_partition`."""
-    return "[" + ",".join(str(p) for p in lam.parts) + "]"
+    return _format_parts(lam.parts)
+
+
+def _format_parts(parts: tuple) -> str:
+    """:func:`format_partition` of a raw part tuple."""
+    return "[" + ",".join(map(str, parts)) + "]"
 
 
 def partitions_of_size(m: int) -> Iterator[Partition]:

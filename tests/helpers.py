@@ -7,6 +7,7 @@ do not reuse the library's formulas, so they can serve as cross-checks.
 
 from __future__ import annotations
 
+import json
 import random
 
 from affinecrystal import Partition, height, residue, y
@@ -107,6 +108,20 @@ def oracle_corner_monomial(lam: Partition, n: int) -> Monomial:
         key = (residue(b, n), height(b) + 1)
         exp[key] = exp.get(key, 0) - 1
     return Monomial(n, exp)
+
+
+def oracle_export_json(g) -> str:
+    """The graph document through ``json.dumps(doc, indent=2)``."""
+    doc = {
+        "model": g.model,
+        "n": g.n,
+        "arm": g.arm,
+        "depth": g.depth,
+        "root": g.root,
+        "vertices": [{"id": vid, "label": label} for vid, label in enumerate(g.vertices)],
+        "edges": [{"src": s, "dst": d, "color": c} for s, d, c in g.edges],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def random_partition(rng: random.Random, steps: int) -> Partition:

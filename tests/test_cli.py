@@ -218,10 +218,12 @@ class TestUsage:
             ["--n", "3", "--arm", "random:5:0", "count", "--max", "3"],
             ["--n", "3", "validate-arm", "--horizon", "0"],
             ["--n", "3", "--arm", "random:5:2", "count", "--max", "9"],
+            ["--n", "3", "count", "--max", "101"],
+            ["--n", "3", "count", "--max", "100000000"],
         ],
         ids=[
             "negative-depth", "negative-max", "zero-arm-horizon", "zero-horizon",
-            "count-past-arm-horizon",
+            "count-past-arm-horizon", "max-past-ceiling", "huge-max",
         ],
     )
     def test_out_of_range_bound(self, capsys, argv):

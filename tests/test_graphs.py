@@ -4,12 +4,14 @@ import pytest
 
 from affinecrystal import (
     CrystalGraph,
+    Partition,
     compare_graphs,
     count_regular,
     e_m,
     e_up,
     export_dot,
     export_json,
+    f_down,
     format_monomial,
     format_partition,
     generate_graph,
@@ -32,6 +34,7 @@ from affinecrystal.errors import (
 )
 from helpers import (
     max_multiplicity,
+    oracle_export_json,
     oracle_is_regular,
     oracle_partitions,
     oracle_regular_counts,
@@ -68,6 +71,29 @@ class TestGeneration:
     def test_arm_of_another_rank(self):
         with pytest.raises(RankMismatch):
             generate_graph("partition", 5, 3, horizontal_arm(3))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_vertex_objects(self, n):
+        # the BFS runs on raw tuples and wraps them unchecked; every object
+        # it hands out, and every operator result on it, must pass the
+        # validating constructor
+        for a in (horizontal_arm(n), random_arm(n, 40, seed=n)):
+            objs = []
+            g = generate_graph("partition", n, 10, a, objects=objs)
+            out = g.out_edges()
+            assert len(objs) == len(g.vertices)
+            for k, lam in enumerate(objs):
+                assert type(lam) is Partition
+                assert Partition(lam.parts) == lam
+                assert str(lam) == g.vertices[k]
+                for i in range(n):
+                    down = f_down(lam, i, a)
+                    for mu in (down, e_up(lam, i, a)):
+                        if mu is not None:
+                            assert type(mu) is Partition
+                            assert Partition(mu.parts) == mu
+                    if i in out[k]:
+                        assert down == objs[out[k][i]]
 
     def test_bad_model(self):
         with pytest.raises(UnknownChoice):
@@ -323,3 +349,32 @@ class TestExport:
             edges=[(0, 1, 0)],
         )
         assert graph_from_json(export_json(g)) == g
+
+    @pytest.mark.parametrize("model", ["partition", "monomial"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_json_matches_oracle(self, model, n):
+        for depth in range(9):
+            g = generate_graph(model, n, depth)
+            text = export_json(g)
+            assert text == oracle_export_json(g), depth
+            assert graph_from_json(text) == g
+
+    def test_json_matches_oracle_random_arm(self):
+        g = generate_graph("partition", 4, 8, random_arm(4, 30, seed=7))
+        text = export_json(g)
+        assert text == oracle_export_json(g)
+        assert graph_from_json(text) == g
+
+    def test_json_escapes_match_oracle(self):
+        g = CrystalGraph(
+            model='part"ition\\',
+            n=3,
+            depth=2,
+            arm="file:arms/a b\n\"q\"",
+            vertices=["[]", 'x"y\\z', "line\nbreak\ttab\x00\x1f\x7f", "λ→ü \u2028 \U0001f600"],
+            edges=[(0, 1, 0), (1, 2, 2), (1, 3, 1)],
+        )
+        text = export_json(g)
+        assert text == oracle_export_json(g)
+        assert graph_from_json(text) == g
+

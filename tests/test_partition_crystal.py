@@ -21,6 +21,7 @@ from affinecrystal import (
     random_arm,
     residue,
 )
+from affinecrystal._kernel_py import corner_tokens, horizontal_value
 from affinecrystal.errors import HorizonExceedsTable, ResidueMismatch, SameBox
 from helpers import oracle_is_regular, oracle_partitions, random_partition
 
@@ -103,6 +104,18 @@ class TestHorizontalKey:
                 for x in range(len(by_key)):
                     for z in range(x + 1, len(by_key)):
                         assert box_order_gt(by_key[z], by_key[x], a)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_kernel_key_matches_table_comparator(self, n):
+        # the kernel sorts horizontal corners by key and table corners by
+        # the comparator; a table holding the horizontal values must agree
+        table = [horizontal_value(n, t) for t in range(1, 31)]
+        for m in range(15):
+            for parts in oracle_partitions(m):
+                for i in range(n):
+                    assert corner_tokens(parts, i, n, None) == corner_tokens(
+                        parts, i, n, table
+                    ), (parts, i)
 
 
 class TestBracketString:
