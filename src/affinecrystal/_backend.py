@@ -4,7 +4,7 @@ Callers look up ``kernel.<function>`` at call time, so a profiler can swap
 ``kernel`` for a wrapper.
 """
 
-from . import _kernel_py as kernel
+from . import _kernel_py as kernel  # noqa: F401 (read as _backend.kernel)
 
 
 def backend_name() -> str:

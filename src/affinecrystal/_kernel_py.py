@@ -7,6 +7,7 @@ High-level wrappers live in :mod:`affinecrystal.partition_crystal`.
 
 from functools import cmp_to_key
 
+from .brackets import CLOSE, OPEN, scan
 from .errors import HorizonExceedsTable
 
 
@@ -26,11 +27,25 @@ def arm_value(t, n, table):
 
 def _height_content(tok):
     # height r + c - 1 and content c - r, each shifted by a constant
-    return tok[0] + tok[1], tok[1] - tok[0]
+    return tok[1] + tok[2], tok[2] - tok[1]
+
+
+def precedes(r, c, r2, c2, n, table):
+    """Whether the box (r2, c2) strictly precedes (r, c) in the arm order.
+
+    The boxes lie on distinct diagonals of equal residue, so their content
+    gap (c2 - r2) - (c - r) is n t for a nonzero t: for t > 0 the test is
+    c2 - c > A_t, and the t < 0 case is the negation with the roles
+    swapped, so the order is total.
+    """
+    t = ((c2 - r2) - (c - r)) // n
+    if t > 0:
+        return c2 - c > arm_value(t, n, table)
+    return not (c - c2 > arm_value(-t, n, table))
 
 
 def corner_tokens(parts, i, n, table):
-    """Residue-i corners as (row, col, side) with side +1 addable, -1 removable.
+    """Residue-i corners as (side, row, col): OPEN addable, CLOSE removable.
 
     Sorted so the list reads strictly decreasing in the arm-sequence order.
     """
@@ -39,12 +54,12 @@ def corner_tokens(parts, i, n, table):
     for r in range(1, length + 1):
         p = parts[r - 1]
         if (r == 1 or parts[r - 2] > p) and (p + 1 - r) % n == i:
-            toks.append((r, p + 1, 1))
+            toks.append((OPEN, r, p + 1))
         nxt = parts[r] if r < length else 0
         if p > nxt and (p - r) % n == i:
-            toks.append((r, p, -1))
+            toks.append((CLOSE, r, p))
     if (1 - (length + 1)) % n == i:
-        toks.append((length + 1, 1, 1))
+        toks.append((OPEN, length + 1, 1))
     if table is None:
         # the horizontal order: (height, content) descending, as
         # partition_crystal.horizontal_key states it
@@ -52,34 +67,10 @@ def corner_tokens(parts, i, n, table):
         return toks
 
     def cmp(a, b):
-        # corners lie on distinct diagonals, so the content gap is a
-        # nonzero multiple of n and the order is total
-        t = ((a[1] - a[0]) - (b[1] - b[0])) // n
-        if t > 0:
-            gt = a[1] - b[1] > arm_value(t, n, table)
-        else:
-            gt = not (b[1] - a[1] > arm_value(-t, n, table))
-        return -1 if gt else 1
+        return -1 if precedes(b[1], b[2], a[1], a[2], n, table) else 1
 
     toks.sort(key=cmp_to_key(cmp))
     return toks
-
-
-def _scan(toks):
-    """(eps, phi, rightmost unmatched close, leftmost unmatched open)."""
-    stack = []
-    eps = 0
-    last_close = -1
-    for idx, tok in enumerate(toks):
-        if tok[2] > 0:
-            stack.append(idx)
-        elif stack:
-            stack.pop()
-        else:
-            eps += 1
-            last_close = idx
-    first_open = stack[0] if stack else -1
-    return eps, len(stack), last_close, first_open
 
 
 def _add(parts, r):
@@ -98,25 +89,23 @@ def _remove(parts, r):
 def f_step(parts, i, n, table):
     """Add the box of the leftmost unmatched '(' or return None."""
     toks = corner_tokens(parts, i, n, table)
-    _, _, _, first_open = _scan(toks)
+    _, _, _, first_open = scan(toks)
     if first_open < 0:
         return None
-    return _add(parts, toks[first_open][0])
+    return _add(parts, toks[first_open][1])
 
 
 def e_step(parts, i, n, table):
     """Remove the box of the rightmost unmatched ')' or return None."""
     toks = corner_tokens(parts, i, n, table)
-    _, _, last_close, _ = _scan(toks)
+    _, _, last_close, _ = scan(toks)
     if last_close < 0:
         return None
-    return _remove(parts, toks[last_close][0])
+    return _remove(parts, toks[last_close][1])
 
 
 def unmatched_counts(parts, i, n, table):
-    toks = corner_tokens(parts, i, n, table)
-    eps, phi, _, _ = _scan(toks)
-    return eps, phi
+    return scan(corner_tokens(parts, i, n, table))[:2]
 
 
 class _PastTable:

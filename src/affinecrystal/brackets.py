@@ -1,10 +1,12 @@
-"""Ordered bracket strings and the usual cancellation rule.
+"""The bracket rule that both crystal models act through.
 
-Both crystal models act through the same signature rule: write a token
-sequence of ``(`` (raising contributors) and ``)`` (lowering contributors)
-in a prescribed order, match each ``)`` against the nearest unmatched ``(``
-to its left, then act at the extreme unmatched bracket.  After matching,
-the unmatched tokens always read ``)* (*`` from left to right.
+Each model writes its color-i tokens as ``(`` and ``)`` in a prescribed
+order (corners decreasing in the arm order, or units by decreasing k),
+cancels each ``)`` against the nearest unmatched ``(`` to its left, and
+acts at an extreme unmatched bracket: lowering at the leftmost ``(``,
+raising at the rightmost ``)``.  The unmatched tokens always read ``)* (*``.
+:func:`scan` is the one cancellation routine, run by the partition kernel
+on raw corner tokens and by :class:`BracketString`.
 """
 
 from __future__ import annotations
@@ -16,65 +18,57 @@ OPEN = "("
 CLOSE = ")"
 
 
-def match_brackets(sides: list[str]) -> list[int | None]:
-    """Matched-partner index per token, or None; single left-to-right pass."""
-    matching: list[int | None] = [None] * len(sides)
-    stack: list[int] = []
-    for idx, side in enumerate(sides):
-        if side == OPEN:
-            stack.append(idx)
-        elif stack:
-            j = stack.pop()
-            matching[idx] = j
-            matching[j] = idx
-    return matching
+def scan(tokens) -> tuple[int, int, int, int]:
+    """(eps, phi, rightmost unmatched ')', leftmost unmatched '(').
+
+    ``tok[0]`` is each token's side; a missing index is -1.  Cancelled
+    pairs nest, so the leftmost unmatched ``(`` is the one that last
+    opened the depth from 0.
+    """
+    eps = phi = 0
+    last_close = first_open = -1
+    for idx, tok in enumerate(tokens):
+        if tok[0] == OPEN:
+            if not phi:
+                first_open = idx
+            phi += 1
+        elif phi:
+            phi -= 1
+        else:
+            eps += 1
+            last_close = idx
+    return eps, phi, last_close, first_open if phi else -1
 
 
 @dataclass(frozen=True)
 class BracketString:
-    """Tokens in their acting order plus the computed matching.
+    """Tokens in their acting order plus the result of :func:`scan`.
 
     ``payload`` is whatever the token stands for: a box for the partition
-    model, a (residue, k) pair for the monomial model.
+    model, a (residue, k) pair for the monomial model.  ``eps`` and
+    ``phi`` count the unmatched ``)`` and ``(``.
     """
 
     sides: tuple[str, ...]
     payloads: tuple[Any, ...]
-    matching: tuple[int | None, ...]
+    eps: int
+    phi: int
+    _last_close: int
+    _first_open: int
 
     @classmethod
     def build(cls, tokens: list[tuple[str, Any]]) -> "BracketString":
-        sides = [side for side, _ in tokens]
         return cls(
-            sides=tuple(sides),
-            payloads=tuple(payload for _, payload in tokens),
-            matching=tuple(match_brackets(sides)),
+            tuple(side for side, _ in tokens),
+            tuple(payload for _, payload in tokens),
+            *scan(tokens),
         )
 
     def __str__(self):
         return "".join(self.sides)
 
-    def unmatched(self, side: str) -> list[int]:
-        return [
-            i
-            for i, s in enumerate(self.sides)
-            if s == side and self.matching[i] is None
-        ]
-
-    @property
-    def eps(self) -> int:
-        """Unmatched closing brackets."""
-        return len(self.unmatched(CLOSE))
-
-    @property
-    def phi(self) -> int:
-        """Unmatched opening brackets."""
-        return len(self.unmatched(OPEN))
-
     def rightmost_unmatched_close(self) -> int | None:
-        idx = self.unmatched(CLOSE)
-        return idx[-1] if idx else None
+        return None if self._last_close < 0 else self._last_close
 
     def leftmost_unmatched_open(self) -> int | None:
-        idx = self.unmatched(OPEN)
-        return idx[0] if idx else None
+        return None if self._first_open < 0 else self._first_open

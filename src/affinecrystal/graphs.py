@@ -27,9 +27,9 @@ from .monomial_crystal import f_m, format_monomial, y
 from .partitions import _format_parts, _trusted, check_rank
 
 # unused here; perfbench/tracing.py patches these three names on this module
-from .arms import is_regular  # noqa: F401
-from .partition_crystal import f_down  # noqa: F401
-from .partitions import partitions_of_size  # noqa: F401
+from .arms import is_regular  # noqa: F401 (patched by the tracer)
+from .partition_crystal import f_down  # noqa: F401 (patched by the tracer)
+from .partitions import partitions_of_size  # noqa: F401 (patched by the tracer)
 
 PARTITION_MODEL = "partition"
 MONOMIAL_MODEL = "monomial"
@@ -77,8 +77,8 @@ def generate_graph(
     only for ``objects``.
     """
     check_rank(n)
-    if depth < 0:
-        raise BoundOutOfRange(f"depth must be >= 0, got {depth}")
+    if type(depth) is not int or depth < 0:
+        raise BoundOutOfRange(f"depth must be an integer >= 0, got {depth!r}")
     if model == PARTITION_MODEL:
         if a is None:
             a = horizontal_arm(n)
@@ -255,15 +255,15 @@ def count_regular(n: int, a: ArmSequence, max_size: int) -> list[int]:
     A_(H+1), so HorizonExceedsTable(H + 1, H) is raised before any
     counting.
 
-    ``max_size`` must lie in 0..MAX_COUNT_SIZE (BoundOutOfRange otherwise),
+    ``max_size`` must be an int in 0..MAX_COUNT_SIZE (else BoundOutOfRange),
     so a huge bound fails at once instead of allocating lists of its length.
     """
     check_rank(n)
     if a.n != n:
         raise RankMismatch(f"arm sequence has rank {a.n}, count has rank {n}")
-    if not 0 <= max_size <= MAX_COUNT_SIZE:
+    if type(max_size) is not int or not 0 <= max_size <= MAX_COUNT_SIZE:
         raise BoundOutOfRange(
-            f"max_size must lie in 0..{MAX_COUNT_SIZE}, got {max_size}"
+            f"max_size must be an int in 0..{MAX_COUNT_SIZE}, got {max_size!r}"
         )
     return _backend.kernel.regular_counts(n, a.values, max_size)
 
@@ -319,9 +319,11 @@ def _is_index(value, size: int) -> bool:
 def graph_from_json(text: str) -> CrystalGraph:
     """Inverse of :func:`export_json`.
 
-    Raises ParseError unless vertex ids are exactly 0..V-1, labels are
-    strings, the root and every edge endpoint are vertex ids, every color
-    lies in 0..n-1, and no vertex has two out-edges of one color.
+    Raises ParseError unless the model is a string, the depth an integer
+    >= 0 and the arm a string or null, vertex ids are exactly 0..V-1,
+    labels are strings, the root and every edge endpoint are vertex ids,
+    every color lies in 0..n-1, and no vertex has two out-edges of one
+    color.
     """
     try:
         doc = json.loads(text)
@@ -331,6 +333,13 @@ def graph_from_json(text: str) -> CrystalGraph:
         n = doc["n"]
         if type(n) is not int or n < 3:
             raise ParseError(f"graph rank must be an integer >= 3, got {n!r}")
+        model, depth, arm = doc["model"], doc["depth"], doc["arm"]
+        if type(model) is not str:
+            raise ParseError(f"graph model must be a string, got {model!r}")
+        if type(depth) is not int or depth < 0:
+            raise ParseError(f"graph depth must be an integer >= 0, got {depth!r}")
+        if arm is not None and type(arm) is not str:
+            raise ParseError(f"graph arm must be a string or null, got {arm!r}")
         vertices_field = doc["vertices"]
         count = len(vertices_field)
         vertices = [""] * count
@@ -364,10 +373,10 @@ def graph_from_json(text: str) -> CrystalGraph:
             out_colors.add((src, color))
             edges.append((src, dst, color))
         return CrystalGraph(
-            model=doc["model"],
+            model=model,
             n=n,
-            depth=doc["depth"],
-            arm=doc["arm"],
+            depth=depth,
+            arm=arm,
             vertices=vertices,
             edges=edges,
             root=root,

@@ -14,8 +14,9 @@ remains the source of truth and the key is verified against it.
 from __future__ import annotations
 
 from . import _backend
+from ._kernel_py import precedes
 from .arms import ArmSequence
-from .brackets import CLOSE, OPEN, BracketString
+from .brackets import BracketString
 from .errors import ResidueMismatch, SameBox
 from .partitions import Box, Partition, _trusted, content, height
 
@@ -23,9 +24,9 @@ from .partitions import Box, Partition, _trusted, content, height
 def box_order_gt(b: Box, b_prime: Box, a: ArmSequence) -> bool:
     """Whether ``b_prime`` strictly precedes ``b`` in the order induced by ``a``.
 
-    Defined for distinct boxes of equal residue, so the content gap is a
-    nonzero multiple of n: with c(b') - c(b) = n t and t > 0 the test is
-    col' - col > A_t, and the t < 0 case is the negation with roles swapped.
+    Defined for distinct boxes of equal residue on distinct diagonals; the
+    order itself is the kernel's ``precedes``, which also sorts table-arm
+    corners.
     """
     if b == b_prime:
         raise SameBox(f"cannot order {b} against itself")
@@ -34,10 +35,7 @@ def box_order_gt(b: Box, b_prime: Box, a: ArmSequence) -> bool:
         raise ResidueMismatch(f"{b} and {b_prime} differ in residue mod {a.n}")
     if delta == 0:
         raise SameBox(f"{b} and {b_prime} share a diagonal; order undefined")
-    t = delta // a.n
-    if t > 0:
-        return b_prime.col - b.col > a.value(t)
-    return not (b.col - b_prime.col > a.value(-t))
+    return precedes(b.row, b.col, b_prime.row, b_prime.col, a.n, a.values)
 
 
 def horizontal_key(b: Box) -> tuple[int, int]:
@@ -50,9 +48,7 @@ def bracket_string(lam: Partition, i: int, a: ArmSequence) -> BracketString:
     """All color-i corners of ``lam`` as an ordered, matched bracket string."""
     i %= a.n
     toks = _backend.kernel.corner_tokens(lam.parts, i, a.n, a.values)
-    return BracketString.build(
-        [(OPEN if side > 0 else CLOSE, Box(r, c)) for r, c, side in toks]
-    )
+    return BracketString.build([(side, Box(r, c)) for side, r, c in toks])
 
 
 def f_down(lam: Partition, i: int, a: ArmSequence) -> Partition | None:

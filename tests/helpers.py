@@ -124,6 +124,44 @@ def oracle_export_json(g) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def oracle_scan(sides):
+    """(eps, phi, rightmost unmatched ')', leftmost unmatched '(') by reduction.
+
+    Tags each token with its index and deletes an adjacent '(' ')' pair
+    until none is left.  Missing indices are -1.
+    """
+    rest = list(enumerate(sides))
+    reduced = True
+    while reduced:
+        reduced = False
+        for x in range(len(rest) - 1):
+            if rest[x][1] == "(" and rest[x + 1][1] == ")":
+                del rest[x: x + 2]
+                reduced = True
+                break
+    closes = [idx for idx, side in rest if side == ")"]
+    opens = [idx for idx, side in rest if side == "("]
+    return (
+        len(closes),
+        len(opens),
+        closes[-1] if closes else -1,
+        opens[0] if opens else -1,
+    )
+
+
+def oracle_precedes(b, b_prime, a) -> bool:
+    """Whether box ``b_prime`` comes before box ``b`` in the order of ``a``.
+
+    The definition: of two boxes of equal residue, the one whose content
+    is larger by n t beats the other exactly when it lies more than A_t
+    columns to its right.
+    """
+    lower, upper = sorted((b, b_prime), key=lambda box: box.col - box.row)
+    t = ((upper.col - upper.row) - (lower.col - lower.row)) // a.n
+    upper_first = upper.col - lower.col > a.value(t)
+    return upper_first == (b_prime == upper)
+
+
 def random_partition(rng: random.Random, steps: int) -> Partition:
     """Random upward walk: adjoin a random addable corner ``steps`` times."""
     lam = Partition()

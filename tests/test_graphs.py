@@ -26,6 +26,7 @@ from affinecrystal import (
     weight,
 )
 from affinecrystal.errors import (
+    BoundOutOfRange,
     DepthMismatch,
     HorizonExceedsTable,
     ParseError,
@@ -94,6 +95,11 @@ class TestGeneration:
                             assert Partition(mu.parts) == mu
                     if i in out[k]:
                         assert down == objs[out[k][i]]
+
+    @pytest.mark.parametrize("depth", [-1, 2.5, True, "2", None])
+    def test_depth_out_of_range(self, depth):
+        with pytest.raises(BoundOutOfRange):
+            generate_graph("partition", 3, depth)
 
     def test_bad_model(self):
         with pytest.raises(UnknownChoice):
@@ -277,6 +283,11 @@ class TestCounting:
         with pytest.raises(RankMismatch):
             count_regular(5, horizontal_arm(3), 6)
 
+    @pytest.mark.parametrize("max_size", [-1, 101, 2.5, True, "2"])
+    def test_max_size_out_of_range(self, max_size):
+        with pytest.raises(BoundOutOfRange):
+            count_regular(3, horizontal_arm(3), max_size)
+
 
 class TestExport:
     def test_dot_single_node(self):
@@ -326,11 +337,19 @@ class TestExport:
             lambda doc: doc["edges"].append(dict(doc["edges"][0], dst=2)),
             lambda doc: doc.update(root=len(doc["vertices"])),
             lambda doc: doc.update(n=2),
+            lambda doc: doc.update(model=7),
+            lambda doc: doc.update(depth="3"),
+            lambda doc: doc.update(depth=-5),
+            lambda doc: doc.update(depth=None),
+            lambda doc: doc.update(depth=3.0),
+            lambda doc: doc.update(arm=3),
         ],
         ids=[
             "negative-id", "duplicate-id", "id-past-end", "string-id", "int-label",
             "dst-out-of-range", "negative-src", "color-n", "negative-color",
             "two-out-edges-one-color", "root-out-of-range", "rank-too-small",
+            "int-model", "string-depth", "negative-depth", "null-depth",
+            "float-depth", "int-arm",
         ],
     )
     def test_malformed_graph_rejected(self, corrupt):

@@ -23,7 +23,13 @@ from affinecrystal import (
 )
 from affinecrystal._kernel_py import corner_tokens, horizontal_value
 from affinecrystal.errors import HorizonExceedsTable, ResidueMismatch, SameBox
-from helpers import oracle_is_regular, oracle_partitions, random_partition
+from helpers import (
+    oracle_is_regular,
+    oracle_partitions,
+    oracle_precedes,
+    oracle_scan,
+    random_partition,
+)
 
 BIG = parse_partition("[11,7,4,2,1,1,1,1,1,1]")
 H3, H4 = horizontal_arm(3), horizontal_arm(4)
@@ -82,6 +88,29 @@ class TestOrder:
                             assert box_order_gt(ordered[x], ordered[z], a)
 
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_table_arm_corners_follow_definition(self, n):
+        # corner_tokens sorts table-arm corners with the kernel comparator;
+        # the order it yields must be the definition's, pair by pair.  The
+        # sort only ever asks it about a later-built corner against an
+        # earlier one, so box_order_gt, which shares the comparator, is
+        # asked both ways round too
+        for seed in (1, 2, 3):
+            a = random_arm(n, 40, seed)
+            for m in range(13):
+                for parts in oracle_partitions(m):
+                    for i in range(n):
+                        boxes = [
+                            Box(r, c)
+                            for _, r, c in corner_tokens(parts, i, n, a.values)
+                        ]
+                        for x, z in combinations(range(len(boxes)), 2):
+                            b, bp = boxes[z], boxes[x]
+                            assert oracle_precedes(b, bp, a), (parts, i, seed)
+                            assert box_order_gt(b, bp, a)
+                            assert not box_order_gt(bp, b, a)
+
+
 class TestHorizontalKey:
     def test_values(self):
         assert horizontal_key(Box(1, 11)) == (11, 10)
@@ -131,18 +160,20 @@ class TestBracketString:
         assert str(bracket_string(Partition(), 2, H4)) == ""
 
     def test_matching_shape(self):
-        # unmatched tokens always read ")* (*"
+        # unmatched tokens always read ")* (*": the counts and acting
+        # positions are those left by deleting adjacent "()" pairs, and the
+        # last unmatched ')' comes before the first unmatched '('
         rng = random.Random(13)
         for _ in range(200):
             lam = random_partition(rng, 16)
             for i in range(4):
                 s = bracket_string(lam, i, H4)
-                unmatched = [
-                    side
-                    for side, m in zip(s.sides, s.matching)
-                    if m is None
-                ]
-                assert "".join(unmatched) == ")" * s.eps + "(" * s.phi
+                eps, phi, close, opening = oracle_scan(s.sides)
+                assert (s.eps, s.phi) == (eps, phi)
+                assert s.rightmost_unmatched_close() == (close if eps else None)
+                assert s.leftmost_unmatched_open() == (opening if phi else None)
+                if eps and phi:
+                    assert close < opening
 
 
 class TestOperators:
