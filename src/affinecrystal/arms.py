@@ -98,8 +98,8 @@ def validate_arm(a: ArmSequence, horizon: int) -> list[ArmViolation]:
     t + u <= horizon; the pairwise sweep is quadratic, which is fine at
     the scales these tables see.
     """
-    if horizon < 1:
-        raise BoundOutOfRange(f"horizon must be >= 1, got {horizon}")
+    if type(horizon) is not int or horizon < 1:
+        raise BoundOutOfRange(f"horizon must be an int >= 1, got {horizon!r}")
     if a.horizon is not None and horizon > a.horizon:
         raise HorizonExceedsTable(horizon, a.horizon)
     bad = []
@@ -153,8 +153,8 @@ def random_arm(n: int, horizon: int, seed: int) -> ArmSequence:
     is valid, so an empty range can only mean a bug and raises.
     """
     check_rank(n)
-    if horizon < 1:
-        raise BoundOutOfRange(f"horizon must be >= 1, got {horizon}")
+    if type(horizon) is not int or horizon < 1:
+        raise BoundOutOfRange(f"horizon must be an int >= 1, got {horizon!r}")
     rng = random.Random(seed)
     values: list[int] = []
     for t in range(1, horizon + 1):

@@ -11,7 +11,8 @@ class CrystalError(Exception):
 
 
 class ParseError(CrystalError, ValueError):
-    """Malformed partition, monomial, operator word, or graph text."""
+    """Malformed partition, monomial, operator word, or graph text, or a
+    monomial factor whose residue, k or exponent is not an int."""
 
 
 class NotDecreasing(CrystalError, ValueError):
@@ -23,7 +24,7 @@ class NonPositivePart(CrystalError, ValueError):
 
 
 class RankTooSmall(CrystalError, ValueError):
-    """The rank n must be at least 3."""
+    """The rank n must be an int of at least 3."""
 
 
 class BoundOutOfRange(CrystalError, ValueError):

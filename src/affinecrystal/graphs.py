@@ -23,11 +23,20 @@ from .errors import (
     RankMismatch,
     UnknownChoice,
 )
-from .monomial_crystal import f_m, format_monomial, y
+from .monomial_crystal import (
+    _canonical,
+    _FactorTexts,
+    _format_key,
+    _key,
+    _mult_a_exp,
+    _phi_q,
+)
 from .partitions import _format_parts, _trusted, check_rank
 
-# unused here; perfbench/tracing.py patches these three names on this module
+# unused here; perfbench/tracing.py patches these five names on this module
 from .arms import is_regular  # noqa: F401 (patched by the tracer)
+from .monomial_crystal import f_m  # noqa: F401 (patched by the tracer)
+from .monomial_crystal import format_monomial  # noqa: F401 (patched by the tracer)
 from .partition_crystal import f_down  # noqa: F401 (patched by the tracer)
 from .partitions import partitions_of_size  # noqa: F401 (patched by the tracer)
 
@@ -74,6 +83,9 @@ def generate_graph(
     are appended to it in id order.
 
     The partition BFS runs on raw part tuples and builds a ``Partition``
+    only for ``objects``.  The monomial BFS keys its vertices on flat
+    ``(-k, i, u, ...)`` tuples in canonical factor order, carries each
+    one's exponent dict alongside, and wraps that dict as a ``Monomial``
     only for ``objects``.
     """
     check_rank(n)
@@ -84,47 +96,13 @@ def generate_graph(
             a = horizontal_arm(n)
         elif a.n != n:
             raise RankMismatch(f"arm sequence has rank {a.n}, graph has rank {n}")
-        root = ()
-        f_step = _backend.kernel.f_step
-        table = a.values
-
-        def step(parts, i):
-            return f_step(parts, i, n, table)
-
-        label = _format_parts
-        to_object = _trusted
+        vertices, edges = _partition_bfs(n, depth, a.values, objects)
         arm_descriptor = a.descriptor
     elif model == MONOMIAL_MODEL:
-        root = y(n, 0, 0)
-        step = f_m
-        label = format_monomial
-        to_object = None
+        vertices, edges = _monomial_bfs(n, depth, objects)
         arm_descriptor = None
     else:
         raise UnknownChoice(f"unknown model {model!r}")
-
-    vertices = [label(root)]
-    ids = {root: 0}
-    edges: list[tuple[int, int, int]] = []
-    frontier = [root]
-    for _ in range(depth):
-        nxt = []
-        for v in frontier:
-            src = ids[v]
-            for i in range(n):
-                w = step(v, i)
-                if w is None:
-                    continue
-                dst = ids.get(w)
-                if dst is None:
-                    dst = ids[w] = len(vertices)
-                    vertices.append(label(w))
-                    nxt.append(w)
-                edges.append((src, dst, i))
-        frontier = nxt
-    if objects is not None:
-        # ids holds the vertices in id order
-        objects.extend(ids if to_object is None else map(to_object, ids))
     return CrystalGraph(
         model=model,
         n=n,
@@ -133,6 +111,86 @@ def generate_graph(
         vertices=vertices,
         edges=edges,
     )
+
+
+def _partition_bfs(n, depth, table, objects):
+    """``f_step`` on raw part tuples."""
+    f_step = _backend.kernel.f_step
+    vertices = [_format_parts(())]
+    ids = {(): 0}
+    edges: list[tuple[int, int, int]] = []
+    frontier = [()]
+    for _ in range(depth):
+        nxt = []
+        for v in frontier:
+            src = ids[v]
+            for i in range(n):
+                w = f_step(v, i, n, table)
+                if w is None:
+                    continue
+                dst = ids.get(w)
+                if dst is None:
+                    dst = ids[w] = len(vertices)
+                    vertices.append(_format_parts(w))
+                    nxt.append(w)
+                edges.append((src, dst, i))
+        frontier = nxt
+    if objects is not None:
+        # ids holds the vertices in id order
+        objects.extend(map(_trusted, ids))
+    return vertices, edges
+
+
+def _monomial_bfs(n, depth, objects):
+    """Analytic-mode f_m on (key, exponent dict) pairs; see ``_key``.
+
+    f_i multiplies by some A(i,k)^-1, which lowers sum(u k^2) over the
+    factors by 2, so a monomial's depth is -sum(u k^2) / 2.  A child can
+    therefore only meet a vertex of its own level, and ``ids`` holds one
+    level's keys at a time.
+    """
+    root = {(0, 0): 1}
+    key = _key(root)
+    texts = _FactorTexts()
+    vertices = [_format_key(key, texts)]
+    edges: list[tuple[int, int, int]] = []
+    if objects is not None:
+        objects.append(_canonical(n, root))
+    frontier = [(key, root)]
+    first = 0  # id of frontier[0]; each level's ids are consecutive
+    colors = range(n)
+    for _ in range(depth):
+        nxt = []
+        ids = {}
+        for src, (key, exp) in enumerate(frontier, first):
+            # one grouping by residue serves every color; the key runs by
+            # decreasing k, so read backwards it gives _phi_q increasing k
+            terms = [[] for _ in colors]
+            for nk, i, u in zip(key[-3::-3], key[-2::-3], key[-1::-3]):
+                terms[i].append((-nk, u))
+            for i in colors:
+                q = _phi_q(terms[i])[1]
+                if q is None:
+                    continue
+                # dict() sizes the table to the entries; exp.copy() would
+                # clone exp's grown table into every vertex object
+                child = dict(exp)
+                _mult_a_exp(child, n, i, q + 1, -1)
+                ckey = _key(child)
+                dst = ids.get(ckey)
+                if dst is None:
+                    dst = ids[ckey] = len(vertices)
+                    vertices.append(_format_key(ckey, texts))
+                    nxt.append((ckey, child))
+                    if objects is not None:
+                        # no copy: _canonical asks for the only reference,
+                        # and the frontier keeps another, but the BFS never
+                        # mutates a stored dict (children start as copies)
+                        objects.append(_canonical(n, child))
+                edges.append((src, dst, i))
+        first += len(frontier)
+        frontier = nxt
+    return vertices, edges
 
 
 @dataclass

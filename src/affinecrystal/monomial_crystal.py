@@ -15,6 +15,7 @@ other.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import NamedTuple
 
 from .brackets import CLOSE, OPEN, BracketString
@@ -45,11 +46,17 @@ class Monomial:
         exp = {}
         if exponents:
             for (i, k), u in exponents.items():
-                if u == 0:
-                    continue
+                if type(i) is not int or type(k) is not int or type(u) is not int:
+                    raise ParseError(
+                        f"factor Y({i!r},{k!r})^{u!r} needs an int residue, "
+                        "k and exponent"
+                    )
                 key = (i % n, k)
-                exp[key] = exp.get(key, 0) + u
-                if exp[key] == 0:
+                v = exp.get(key, 0) + u
+                if v:
+                    exp[key] = v
+                elif u:
+                    # only an existing -u cancels to 0
                     del exp[key]
         _set_n(self, n)
         _set_exp(self, exp)
@@ -132,6 +139,29 @@ def _canonical(n: int, exp: dict) -> Monomial:
     return m
 
 
+def _key(exp: dict) -> tuple[int, ...]:
+    """Flat (-k, i, u, -k, i, u, ...) of a canonical dict, in factor order."""
+    return tuple(chain.from_iterable(sorted([(-k, i, u) for (i, k), u in exp.items()])))
+
+
+class _FactorTexts(dict):
+    """Text of each (-k, i, u) factor, made on first use."""
+
+    def __missing__(self, factor):
+        nk, i, u = factor
+        text = self[factor] = f"Y({i},{-nk})" if u == 1 else f"Y({i},{-nk})^{u}"
+        return text
+
+
+def _format_key(key: tuple[int, ...], texts: _FactorTexts) -> str:
+    """Canonical text of the monomial whose :func:`_key` is ``key``.
+
+    A caller formatting many monomials passes one ``texts`` to all calls."""
+    if not key:
+        return "1"
+    return "*".join(map(texts.__getitem__, zip(key[::3], key[1::3], key[2::3])))
+
+
 def _residue_terms(m: Monomial, i: int) -> list[tuple[int, int]]:
     """(k, u) for every nonzero exponent at residue i, by increasing k."""
     i %= m.n
@@ -175,12 +205,7 @@ def parse_monomial(text: str, n: int) -> Monomial:
 
 def format_monomial(m: Monomial) -> str:
     """Canonical text: factors by decreasing k then increasing residue."""
-    if m.is_one():
-        return "1"
-    terms = []
-    for (i, k), u in m.factors():
-        terms.append(f"Y({i},{k})" if u == 1 else f"Y({i},{k})^{u}")
-    return "*".join(terms)
+    return _format_key(_key(m._exp), _FactorTexts())
 
 
 def mult_a(m: Monomial, i: int, k: int, sign: int = 1) -> Monomial:
@@ -188,8 +213,13 @@ def mult_a(m: Monomial, i: int, k: int, sign: int = 1) -> Monomial:
     if sign not in (1, -1):
         raise UnknownChoice(f"sign must be +1 or -1, got {sign}")
     n = m.n
-    i %= n
     exp = dict(m._exp)
+    _mult_a_exp(exp, n, i % n, k, sign)
+    return _canonical(n, exp)
+
+
+def _mult_a_exp(exp: dict, n: int, i: int, k: int, sign: int) -> None:
+    """Multiply the canonical dict ``exp`` by A(i,k)^sign in place; i in [0, n)."""
     for key, u in (
         ((i, k - 1), sign),
         ((i, k + 1), sign),
@@ -201,7 +231,6 @@ def mult_a(m: Monomial, i: int, k: int, sign: int = 1) -> Monomial:
             exp[key] = v
         else:
             del exp[key]
-    return _canonical(n, exp)
 
 
 def weight(m: Monomial) -> dict[int, int]:
@@ -241,13 +270,19 @@ def stats(m: Monomial, i: int) -> MonomialStats:
         tail += u
         if -tail > eps:
             eps, p = -tail, k
+    phi, q = _phi_q(terms)
+    return MonomialStats(eps, phi, p, q)
+
+
+def _phi_q(terms: list[tuple[int, int]]) -> tuple[int, int | None]:
+    """phi and the smallest maximizing q from (k, u) terms by increasing k."""
     phi, q = 0, None
     head = 0
     for k, u in terms:
         head += u
         if head > phi:
             phi, q = head, k
-    return MonomialStats(eps, phi, p, q)
+    return phi, q
 
 
 def monomial_bracket_string(m: Monomial, i: int) -> BracketString:
@@ -285,10 +320,10 @@ def f_m(m: Monomial, i: int, mode: str = "analytic") -> Monomial | None:
     """Lowering operator: multiply by A(i, .)^-1, or None when phi is 0."""
     _check_mode(mode)
     if mode == "analytic":
-        st = stats(m, i)
-        if st.phi == 0:
+        q = _phi_q(_residue_terms(m, i))[1]
+        if q is None:
             return None
-        return mult_a(m, i, st.q + 1, -1)
+        return mult_a(m, i, q + 1, -1)
     s = monomial_bracket_string(m, i)
     idx = s.leftmost_unmatched_open()
     if idx is None:

@@ -45,8 +45,8 @@ def height(b: Box) -> int:
 
 
 def check_rank(n: int) -> None:
-    if n < 3:
-        raise RankTooSmall(f"rank must be >= 3, got {n}")
+    if type(n) is not int or n < 3:
+        raise RankTooSmall(f"rank must be an int >= 3, got {n!r}")
 
 
 def residue(b: Box, n: int) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import random
 
-from affinecrystal import Partition, height, residue, y
+from affinecrystal import Partition, f_m, height, residue, y
 from affinecrystal.monomial_crystal import Monomial
 
 
@@ -108,6 +108,32 @@ def oracle_corner_monomial(lam: Partition, n: int) -> Monomial:
         key = (residue(b, n), height(b) + 1)
         exp[key] = exp.get(key, 0) - 1
     return Monomial(n, exp)
+
+
+def oracle_monomial_graph(n: int, depth: int, mode: str):
+    """(vertex monomials, edges) by a plain BFS over the public ``f_m``.
+
+    Ids follow the same convention as ``generate_graph``: the root Y(0,0)
+    is 0, colors are tried in ascending order, and a vertex keeps the id of
+    its first discovery."""
+    vertices = [y(n, 0, 0)]
+    ids = {vertices[0]: 0}
+    edges = []
+    level = [vertices[0]]
+    for _ in range(depth):
+        nxt = []
+        for m in level:
+            for i in range(n):
+                w = f_m(m, i, mode)
+                if w is None:
+                    continue
+                if w not in ids:
+                    ids[w] = len(vertices)
+                    vertices.append(w)
+                    nxt.append(w)
+                edges.append((ids[m], ids[w], i))
+        level = nxt
+    return vertices, edges
 
 
 def oracle_export_json(g) -> str:

@@ -49,6 +49,11 @@ class TestHorizontal:
         with pytest.raises(RankTooSmall):
             horizontal_arm(2)
 
+    @pytest.mark.parametrize("n", [3.0, 4.5, "3", True])
+    def test_rank_not_int(self, n):
+        with pytest.raises(RankTooSmall):
+            horizontal_arm(n)
+
     @pytest.mark.parametrize("n", range(3, 9))
     def test_satisfies_both_conditions(self, n):
         # exhaustive check is the oracle
@@ -99,6 +104,11 @@ class TestTables:
         raw = unchecked_arm(3, (3,))
         assert validate_arm(raw, 1) == [ArmViolation(1, 1)]
 
+    @pytest.mark.parametrize("horizon", [0, 2.5, 3.0, "3", None])
+    def test_validate_horizon_out_of_range(self, horizon):
+        with pytest.raises(BoundOutOfRange):
+            validate_arm(horizontal_arm(3), horizon)
+
     def test_validate_beyond_table(self):
         raw = unchecked_arm(3, (1, 2))
         with pytest.raises(HorizonExceedsTable):
@@ -111,6 +121,11 @@ class TestRandomArm:
         b = random_arm(4, 30, 99)
         assert a.values == b.values
         assert a.descriptor == "random:99:30"
+
+    @pytest.mark.parametrize("horizon", [0, 2.5, 3.0, "3", None])
+    def test_horizon_out_of_range(self, horizon):
+        with pytest.raises(BoundOutOfRange):
+            random_arm(3, horizon, 1)
 
     def test_horizon_one(self):
         for seed in range(40):

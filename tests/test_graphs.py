@@ -4,6 +4,7 @@ import pytest
 
 from affinecrystal import (
     CrystalGraph,
+    Monomial,
     Partition,
     compare_graphs,
     count_regular,
@@ -12,6 +13,7 @@ from affinecrystal import (
     export_dot,
     export_json,
     f_down,
+    f_m,
     format_monomial,
     format_partition,
     generate_graph,
@@ -31,12 +33,16 @@ from affinecrystal.errors import (
     HorizonExceedsTable,
     ParseError,
     RankMismatch,
+    RankTooSmall,
     UnknownChoice,
 )
 from helpers import (
     max_multiplicity,
     oracle_export_json,
     oracle_is_regular,
+    oracle_monomial_graph,
+    oracle_monomial_stats,
+    oracle_mult_a,
     oracle_partitions,
     oracle_regular_counts,
 )
@@ -101,6 +107,12 @@ class TestGeneration:
         with pytest.raises(BoundOutOfRange):
             generate_graph("partition", 3, depth)
 
+    @pytest.mark.parametrize("model", ["partition", "monomial"])
+    @pytest.mark.parametrize("n", [3.5, 4.0, "3", True, None])
+    def test_rank_not_int(self, model, n):
+        with pytest.raises(RankTooSmall):
+            generate_graph(model, n, 2)
+
     def test_bad_model(self):
         with pytest.raises(UnknownChoice):
             generate_graph("tableau", 3, 2)
@@ -149,6 +161,60 @@ class TestGeneration:
         for label in g.vertices:
             m = parse_monomial(label, 5)
             assert sum(weight(m).values()) == 1
+
+
+def square_moment(m):
+    return sum(u * k * k for (_, k), u in m.factors())
+
+
+class TestMonomialBFS:
+    """The monomial BFS runs on canonical keys, apart from ``f_m``."""
+
+    @pytest.mark.parametrize("mode", ["analytic", "bracket"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_matches_plain_bfs(self, n, mode):
+        for depth in (0, 1, 5, 10):
+            g = generate_graph("monomial", n, depth)
+            vertices, edges = oracle_monomial_graph(n, depth, mode)
+            assert g.vertices == [format_monomial(m) for m in vertices]
+            assert g.edges == edges
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_edges_follow_definition(self, n):
+        # f_i multiplies by A(i, q + 1)^-1 at the smallest q maximizing the
+        # running sum; both come from the oracles, not the library helpers
+        g = generate_graph("monomial", n, 10)
+        out = g.out_edges()
+        # ids are canonical, so the vertices above the last level come first
+        expanded = len(generate_graph("monomial", n, 9).vertices)
+        for v, label in enumerate(g.vertices[:expanded]):
+            m = parse_monomial(label, n)
+            for i in range(n):
+                _, phi, _, q = oracle_monomial_stats(m, i)
+                if phi == 0:
+                    assert i not in out[v]
+                else:
+                    want = oracle_mult_a(m, i, q + 1, -1)
+                    assert parse_monomial(g.vertices[out[v][i]], n) == want
+                    # the BFS dedups one level at a time, relying on
+                    # A(i,k)^-1 lowering sum(u k^2) by exactly 2
+                    assert square_moment(m) - square_moment(want) == 2
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_vertex_objects(self, n):
+        # objects wrap the BFS's own dicts unchecked; each must equal the
+        # monomial its label parses to, hash included, and lower like it
+        objs = []
+        g = generate_graph("monomial", n, 10, objects=objs)
+        out = g.out_edges()
+        assert len(objs) == len(g.vertices)
+        for v, m in enumerate(objs):
+            assert type(m) is Monomial
+            parsed = parse_monomial(g.vertices[v], n)
+            assert m == parsed and hash(m) == hash(parsed)
+            assert format_monomial(m) == g.vertices[v]
+            for i, w in out[v].items():
+                assert f_m(m, i) == objs[w]
 
 
 class TestComparison:
@@ -287,6 +353,12 @@ class TestCounting:
     def test_max_size_out_of_range(self, max_size):
         with pytest.raises(BoundOutOfRange):
             count_regular(3, horizontal_arm(3), max_size)
+
+    def test_rank_not_int(self):
+        with pytest.raises(RankTooSmall):
+            count_regular(4.0, horizontal_arm(4.0), 3)
+        with pytest.raises(RankTooSmall):
+            count_regular(4.0, horizontal_arm(4), 3)
 
 
 class TestExport:

@@ -23,6 +23,7 @@ from affinecrystal.errors import (
     CompatibilityUndefinedForOddN,
     ParseError,
     RankMismatch,
+    RankTooSmall,
     ResidueOutOfRange,
     UnknownChoice,
     ZeroExponent,
@@ -303,6 +304,29 @@ class TestMonomialValue:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             y(4, 0, 0).n = 5
+
+    @pytest.mark.parametrize("n", [3.0, 3.5, "3", True])
+    def test_rank_not_int(self, n):
+        with pytest.raises(RankTooSmall):
+            Monomial(n, {(0, 0): 1})
+
+    @pytest.mark.parametrize("factor", [
+        {(0, 0): 1.5},
+        {(0, 0): 2.0},
+        {(0, 0): True},
+        {(0, 0.5): 1},
+        {(0.0, 0): 1},
+        {(0, "1"): 1},
+    ])
+    def test_factor_not_int(self, factor):
+        # such factors would format as text parse_monomial rejects
+        with pytest.raises(ParseError):
+            Monomial(3, factor)
+
+    @pytest.mark.parametrize("e", [2.5, 2.0, -0.5])
+    def test_power_not_int(self, e):
+        with pytest.raises(ParseError):
+            y(3, 0, 0) ** e
 
     def test_power(self):
         m = y(4, 1, 2) * y(4, 2, 3, -2)

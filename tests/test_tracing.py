@@ -30,3 +30,15 @@ def test_tracer_counts_partition_steps(monkeypatch):
     with tracing.installed(tracer, affinecrystal):
         graphs.generate_graph("partition", n, depth)
     assert tracer.calls["kernel.step"] == n * expanded
+
+
+def test_tracer_leaves_graphs_unchanged(monkeypatch):
+    monkeypatch.syspath_prepend(REPO_ROOT)
+    tracing = importlib.import_module("perfbench.tracing")
+    for model in ("partition", "monomial"):
+        plain_objects, traced_objects = [], []
+        plain = graphs.generate_graph(model, 4, 6, objects=plain_objects)
+        with tracing.installed(tracing.Tracer(), affinecrystal):
+            traced = graphs.generate_graph(model, 4, 6, objects=traced_objects)
+        assert traced == plain
+        assert traced_objects == plain_objects
