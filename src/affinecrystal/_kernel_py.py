@@ -153,6 +153,14 @@ def _row_illegal(p, legs, shift, illegal_arm):
     return False
 
 
+def columns(parts):
+    """Column lengths of ``parts``, a list: the conjugate partition."""
+    conj = []
+    for r in range(len(parts), 0, -1):
+        conj.extend([r] * (parts[r - 1] - len(conj)))
+    return conj
+
+
 def is_regular(parts, n, table):
     """True when no box has hook n*t together with arm A_t.
 
@@ -161,9 +169,7 @@ def is_regular(parts, n, table):
     """
     if not parts:
         return True
-    conj = []
-    for r in range(len(parts), 0, -1):
-        conj.extend([r] * (parts[r - 1] - len(conj)))
+    conj = columns(parts)
     illegal_arm = _illegal_arms(n, table, parts[0] + len(parts) - 1)
     # rows 1..r + 1 all reach every column of row r + 1, so the leg of
     # its box in column c + 1 is conj[c] - r - 1

@@ -31,6 +31,18 @@ from .errors import (
 )
 from .partitions import Box, Partition, arm, check_rank, hook
 
+# largest arm horizon: random tables, validation and table construction
+# are quadratic in it, about 0.2 s at 1000 on a 2-core x86 host, while no
+# workload needs more than 100
+MAX_ARM_HORIZON = 1000
+
+
+def _check_horizon(horizon) -> None:
+    if type(horizon) is not int or not 1 <= horizon <= MAX_ARM_HORIZON:
+        raise BoundOutOfRange(
+            f"horizon must be an int in 1..{MAX_ARM_HORIZON}, got {horizon!r}"
+        )
+
 
 class ArmSequence:
     """Rank ``n`` plus a provider for the values ``A_t``.
@@ -84,10 +96,13 @@ def horizontal_arm(n: int) -> ArmSequence:
 
 def unchecked_arm(n: int, values: Iterable[int],
                   descriptor: str | None = None) -> ArmSequence:
-    """Table-backed sequence with no validation; feed to :func:`validate_arm`."""
+    """Table-backed sequence with no validation; feed to :func:`validate_arm`.
+
+    The table must hold 1..MAX_ARM_HORIZON values."""
     values = tuple(values)
     if not values:
         raise EmptyArmTable("arm table must be nonempty")
+    _check_horizon(len(values))
     return ArmSequence(n, values, descriptor)
 
 
@@ -96,10 +111,10 @@ def validate_arm(a: ArmSequence, horizon: int) -> list[ArmViolation]:
 
     Checks axiom (i) for all t, then axiom (ii) for all pairs t <= u with
     t + u <= horizon; the pairwise sweep is quadratic, which is fine at
-    the scales these tables see.
+    the scales these tables see; ``horizon`` must be at most
+    MAX_ARM_HORIZON.
     """
-    if type(horizon) is not int or horizon < 1:
-        raise BoundOutOfRange(f"horizon must be an int >= 1, got {horizon!r}")
+    _check_horizon(horizon)
     if a.horizon is not None and horizon > a.horizon:
         raise HorizonExceedsTable(horizon, a.horizon)
     bad = []
@@ -134,11 +149,10 @@ def arm_from_file(n: int, path: str, validate: bool = True) -> ArmSequence:
 
     With ``validate`` false the table is loaded as is, for
     :func:`validate_arm` to list every violation."""
-    with open(path) as fh:
-        tokens = fh.read().split()
     try:
-        values = [int(tok) for tok in tokens]
-    except ValueError as exc:
+        with open(path, encoding="utf-8") as fh:
+            values = [int(tok) for tok in fh.read().split()]
+    except ValueError as exc:  # UnicodeDecodeError included
         raise ParseError(f"bad arm table in {path}: {exc}") from None
     make = arm_from_values if validate else unchecked_arm
     return make(n, values, f"file:{path}")
@@ -151,10 +165,10 @@ def random_arm(n: int, horizon: int, seed: int) -> ArmSequence:
     of the axiom (i) range with every window [A_s + A_(t-s),
     A_s + A_(t-s) + 1]; that intersection is nonempty whenever the prefix
     is valid, so an empty range can only mean a bug and raises.
+    ``horizon`` must be at most MAX_ARM_HORIZON.
     """
     check_rank(n)
-    if type(horizon) is not int or horizon < 1:
-        raise BoundOutOfRange(f"horizon must be an int >= 1, got {horizon!r}")
+    _check_horizon(horizon)
     rng = random.Random(seed)
     values: list[int] = []
     for t in range(1, horizon + 1):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .arms import arm_from_descriptor, validate_arm
+from .arms import MAX_ARM_HORIZON, arm_from_descriptor, validate_arm
 from .errors import CrystalError
 from .graphs import (
     MAX_COUNT_SIZE,
@@ -44,7 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--arm",
         default="horizontal",
-        help="arm sequence: horizontal | file:PATH | random:SEED:T",
+        help="arm sequence: horizontal | file:PATH | random:SEED:T; "
+        f"T and a file's table length at most {MAX_ARM_HORIZON}",
     )
     parser.add_argument(
         "--format",
@@ -89,7 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"largest size, at most {MAX_COUNT_SIZE}")
 
     p = sub.add_parser("validate-arm", help="check the arm-sequence conditions")
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--horizon", type=int, required=True,
+                   help=f"largest t checked, at most {MAX_ARM_HORIZON}")
 
     return parser
 
@@ -229,10 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.n < 3:
             raise CrystalError(f"--n must be at least 3, got {args.n}")
         return _HANDLERS[args.command](args)
-    except CrystalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CrystalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

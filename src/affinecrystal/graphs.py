@@ -239,8 +239,9 @@ def compare_graphs(
         raise DepthMismatch(f"depths differ: {g1.depth} vs {g2.depth}")
 
     out1, out2 = g1.out_edges(), g2.out_edges()
-    fwd: dict[int, int] = {}
-    bwd: dict[int, int] = {}
+    r1, r2 = g1.root, g2.root
+    fwd = {r1: r2}
+    bwd = {r2: r1}
 
     def fail(kind, v1=None, v2=None, color=None, detail=""):
         return GraphComparison(
@@ -250,47 +251,36 @@ def compare_graphs(
     def disagreement(v1, v2):
         return f"{g1.vertices[v1]!r} does not correspond to {g2.vertices[v2]!r}"
 
-    def pair(v1, v2):
-        if fwd.get(v1, v2) != v2 or bwd.get(v2, v1) != v1:
-            return False
-        fresh = v1 not in fwd
-        fwd[v1], bwd[v2] = v2, v1
-        return True if fresh else None
-
-    state = pair(g1.root, g2.root)
-    if state is False:
-        return fail("root-pairing", g1.root, g2.root)
-    if agree is not None and not agree(g1.root, g2.root):
-        return fail(
-            "label-mismatch", g1.root, g2.root,
-            detail=disagreement(g1.root, g2.root),
-        )
-    queue = deque([(g1.root, g2.root)])
+    if agree is not None and not agree(r1, r2):
+        return fail("label-mismatch", r1, r2, detail=disagreement(r1, r2))
+    queue = deque([(r1, r2)])
     while queue:
         v1, v2 = queue.popleft()
-        colors = set(out1[v1]) | set(out2[v2])
-        for color in sorted(colors):
-            w1 = out1[v1].get(color)
-            w2 = out2[v2].get(color)
-            if (w1 is None) != (w2 is None):
+        o1, o2 = out1[v1], out2[v2]
+        for color in sorted(o1.keys() | o2.keys()):
+            w1 = o1.get(color)
+            w2 = o2.get(color)
+            if w1 is None or w2 is None:
                 side = "first" if w2 is None else "second"
                 return fail(
                     "edge-presence", v1, v2, color,
                     detail=f"only the {side} graph lowers here",
                 )
-            state = pair(w1, w2)
-            if state is False:
-                return fail(
-                    "inconsistent-pairing", w1, w2, color,
-                    detail="conflicts with an earlier pairing",
-                )
-            if state is True:
+            p2 = fwd.get(w1)
+            p1 = bwd.get(w2)
+            if p2 is None and p1 is None:
+                fwd[w1], bwd[w2] = w2, w1
                 if agree is not None and not agree(w1, w2):
                     return fail(
                         "label-mismatch", w1, w2, color,
                         detail=disagreement(w1, w2),
                     )
                 queue.append((w1, w2))
+            elif p2 != w2 or p1 != w1:
+                return fail(
+                    "inconsistent-pairing", w1, w2, color,
+                    detail="conflicts with an earlier pairing",
+                )
     if len(fwd) != len(g1.vertices) or len(bwd) != len(g2.vertices):
         return fail(
             "unreached-vertices",

@@ -35,11 +35,11 @@ class Monomial:
 
     The only stored state is the canonical exponent dict (zero exponents
     dropped, residues reduced mod n); equality and hashing use it, so
-    monomials work as dictionary keys during graph generation.  The
-    ordered factor tuple is built only on request, by :meth:`factors`.
+    monomials work as dictionary keys.  The ordered factor tuple is built
+    only on request, by :meth:`factors`.
     """
 
-    __slots__ = ("n", "_exp", "_hash")
+    __slots__ = ("n", "_exp")
 
     def __init__(self, n: int, exponents: dict | None = None):
         check_rank(n)
@@ -60,7 +60,6 @@ class Monomial:
                     del exp[key]
         _set_n(self, n)
         _set_exp(self, exp)
-        _set_hash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
@@ -70,7 +69,8 @@ class Monomial:
 
     def factors(self) -> tuple[tuple[tuple[int, int], int], ...]:
         """((i, k), u) pairs sorted by decreasing k, then increasing i."""
-        return tuple(sorted(self._exp.items(), key=_factor_order))
+        key = _key(self._exp)
+        return tuple(((i, -nk), u) for nk, i, u in zip(key[::3], key[1::3], key[2::3]))
 
     def support(self, i: int) -> list[int]:
         """The k with nonzero exponent at residue i, increasing."""
@@ -104,11 +104,7 @@ class Monomial:
         )
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.n, frozenset(self._exp.items())))
-            _set_hash(self, h)
-        return h
+        return hash((self.n, frozenset(self._exp.items())))
 
     def __repr__(self):
         return f"Monomial(n={self.n}, {format_monomial(self)!r})"
@@ -119,12 +115,6 @@ class Monomial:
 
 _set_n = Monomial.n.__set__
 _set_exp = Monomial._exp.__set__
-_set_hash = Monomial._hash.__set__
-
-
-def _factor_order(item):
-    (i, k), _ = item
-    return -k, i
 
 
 def _canonical(n: int, exp: dict) -> Monomial:
@@ -135,7 +125,6 @@ def _canonical(n: int, exp: dict) -> Monomial:
     m = object.__new__(Monomial)
     _set_n(m, n)
     _set_exp(m, exp)
-    _set_hash(m, None)
     return m
 
 
@@ -238,7 +227,7 @@ def weight(m: Monomial) -> dict[int, int]:
 
     Residues whose exponents sum to zero are omitted."""
     out: dict[int, int] = {}
-    for (i, _), u in m.factors():
+    for (i, _), u in m._exp.items():
         out[i] = out.get(i, 0) + u
         if out[i] == 0:
             del out[i]

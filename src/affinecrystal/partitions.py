@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from typing import Iterator, NamedTuple
 
+from ._kernel_py import _add, _remove, columns
 from .errors import (
     BoxOutside,
     NonPositivePart,
@@ -101,19 +102,8 @@ class Partition:
     def size(self) -> int:
         return sum(self.parts)
 
-    def part(self, row: int) -> int:
-        """Length of the given 1-based row, zero past the last row."""
-        return self.parts[row - 1] if 1 <= row <= len(self.parts) else 0
-
     def conjugate(self) -> "Partition":
-        parts = self.parts
-        if not parts:
-            return Partition()
-        conj = [0] * parts[0]
-        for p in parts:
-            for c in range(p):
-                conj[c] += 1
-        return Partition(conj)
+        return _trusted(tuple(columns(self.parts)))
 
     def contains(self, b: Box) -> bool:
         return 1 <= b.row <= len(self.parts) and 1 <= b.col <= self.parts[b.row - 1]
@@ -150,21 +140,12 @@ class Partition:
     def add_box(self, b: Box) -> "Partition":
         if b not in self.addable_boxes():
             raise NotAddable(f"{b} is not addable to {self}")
-        parts = list(self.parts)
-        if b.row == len(parts) + 1:
-            parts.append(1)
-        else:
-            parts[b.row - 1] += 1
-        return Partition(parts)
+        return _trusted(_add(self.parts, b.row))
 
     def remove_box(self, b: Box) -> "Partition":
         if b not in self.removable_boxes():
             raise NotRemovable(f"{b} is not removable from {self}")
-        parts = list(self.parts)
-        parts[b.row - 1] -= 1
-        if parts and parts[-1] == 0:
-            parts.pop()
-        return Partition(parts)
+        return _trusted(_remove(self.parts, b.row))
 
 
 _set_parts = Partition.parts.__set__
@@ -191,11 +172,8 @@ def hook(lam: Partition, b: Box) -> int:
     """Arm plus leg plus one: the boxes of the hook through ``b``."""
     if not lam.contains(b):
         raise BoxOutside(f"{b} not inside {lam}")
-    conj = 0
-    for p in lam.parts:
-        if p >= b.col:
-            conj += 1
-    return (lam.parts[b.row - 1] - b.col) + (conj - b.row) + 1
+    leg = columns(lam.parts)[b.col - 1] - b.row
+    return (lam.parts[b.row - 1] - b.col) + leg + 1
 
 
 _PARTITION_RE = re.compile(r"\[(\d+(?:,\d+)*)?\]\Z")

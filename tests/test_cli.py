@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinecrystal import Partition, format_partition, graph_from_json
+from affinecrystal.arms import MAX_ARM_HORIZON, horizontal_value
 from affinecrystal.cli import main
 
 BIG = "[11,7,4,2,1,1,1,1,1,1]"
@@ -220,13 +221,23 @@ class TestUsage:
             ["--n", "3", "--arm", "random:5:2", "count", "--max", "9"],
             ["--n", "3", "count", "--max", "101"],
             ["--n", "3", "count", "--max", "100000000"],
+            ["--n", "3", "--arm", "random:1:99999999999", "count", "--max", "3"],
+            ["--n", "3", "validate-arm", "--horizon", "1000000000"],
+            ["--n", "3", "--arm", "file:{long_arm}", "count", "--max", "3"],
         ],
         ids=[
             "negative-depth", "negative-max", "zero-arm-horizon", "zero-horizon",
             "count-past-arm-horizon", "max-past-ceiling", "huge-max",
+            "huge-arm-horizon", "huge-horizon", "arm-file-past-ceiling",
         ],
     )
-    def test_out_of_range_bound(self, capsys, argv):
+    def test_out_of_range_bound(self, capsys, tmp_path, argv):
+        # a horizontal table one entry longer than the ceiling
+        long_arm = tmp_path / "long.txt"
+        long_arm.write_text(" ".join(
+            str(horizontal_value(3, t)) for t in range(1, MAX_ARM_HORIZON + 2)
+        ))
+        argv = [arg.format(long_arm=long_arm) for arg in argv]
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
@@ -238,6 +249,18 @@ class TestUsage:
             capsys, "--n", "3", "--arm", f"file:{path}",
             "validate-arm", "--horizon", "3",
         )
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["count", "--max", "3"], ["validate-arm", "--horizon", "2"]],
+        ids=["count", "validate-arm"],
+    )
+    def test_undecodable_arm_file(self, capsys, tmp_path, command):
+        path = tmp_path / "arm.bin"
+        path.write_bytes(b"\xff\xfe")
+        code, _, err = run(capsys, "--n", "3", "--arm", f"file:{path}", *command)
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
 

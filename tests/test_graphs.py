@@ -274,6 +274,29 @@ class TestComparison:
         assert result.mismatch.kind == "label-mismatch"
         assert result.mismatch.vertex1 == g1.root
 
+    def test_inconsistent_pairing_witnessed(self):
+        # both colors lead to one vertex of g2 but to two of g1
+        g1 = CrystalGraph("partition", 3, 1, None, ["a", "b", "c"],
+                          [(0, 1, 0), (0, 2, 1)])
+        g2 = CrystalGraph("partition", 3, 1, None, ["a", "b"],
+                          [(0, 1, 0), (0, 1, 1)])
+        result = compare_graphs(g1, g2)
+        assert result.mismatch.kind == "inconsistent-pairing"
+        assert (result.mismatch.vertex1, result.mismatch.vertex2) == (2, 1)
+        assert result.mismatch.color == 1
+        assert str(result.mismatch) == (
+            "inconsistent-pairing at v2/v1 color 1: "
+            "conflicts with an earlier pairing"
+        )
+
+    def test_unreached_vertices_witnessed(self):
+        g1 = CrystalGraph("partition", 3, 1, None, ["a", "b", "c"], [(0, 1, 0)])
+        g2 = CrystalGraph("partition", 3, 1, None, ["a", "b"], [(0, 1, 0)])
+        result = compare_graphs(g1, g2)
+        assert result.mismatch.kind == "unreached-vertices"
+        assert result.mismatch.vertex1 is None
+        assert str(result.mismatch) == "unreached-vertices: paired 2 of 3/2"
+
     def test_depth_guard(self):
         with pytest.raises(DepthMismatch):
             compare_graphs(

@@ -163,6 +163,17 @@ class TestConjugate:
 
     def test_example(self):
         assert Partition([3, 1]).conjugate() == Partition([2, 1, 1])
+        assert Partition().conjugate() == Partition()
+
+    @given(partitions_strategy)
+    @settings(max_examples=200)
+    def test_column_lengths(self, lam):
+        conj = lam.conjugate()
+        assert Partition(conj.parts) == conj
+        cols = lam.parts[0] if lam else 0
+        assert conj.parts == tuple(
+            sum(1 for p in lam.parts if p >= c) for c in range(1, cols + 1)
+        )
 
 
 class TestEnumeration:

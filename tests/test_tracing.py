@@ -1,6 +1,7 @@
 """The benchmark's tracer patches module attributes by name; a renamed or
 removed attribute should fail here, not only in the benchmark."""
 
+import ast
 import importlib
 import os
 
@@ -42,3 +43,25 @@ def test_tracer_leaves_graphs_unchanged(monkeypatch):
             traced = graphs.generate_graph(model, 4, 6, objects=traced_objects)
         assert traced == plain
         assert traced_objects == plain_objects
+
+
+def test_tracer_bindings_match_patches(monkeypatch):
+    # graphs.py imports some names only for the tracer to patch; a binding
+    # the tracer no longer patches, or a patch with no marked binding,
+    # fails here
+    monkeypatch.syspath_prepend(REPO_ROOT)
+    tracing = importlib.import_module("perfbench.tracing")
+    with open(graphs.__file__, encoding="utf-8") as fh:
+        source = fh.read()
+    lines = source.splitlines()
+    marked = {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and "# noqa: F401 (patched by the tracer)" in lines[node.lineno - 1]
+        for alias in node.names
+    }
+    patched = {attr for owner, attr, _ in
+               tracing._patches(tracing.Tracer(), affinecrystal)
+               if owner is graphs}
+    assert marked == patched
