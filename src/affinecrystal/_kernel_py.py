@@ -3,6 +3,10 @@
 Raw part tuples in, raw part tuples out.  An arm sequence arrives as its
 value table, indexed from t = 1, or as None for the horizontal formula.
 High-level wrappers live in :mod:`affinecrystal.partition_crystal`.
+
+:func:`corner_tokens` reads one color's corners, for :func:`f_step`,
+:func:`e_step` and the operators; :func:`f_children` reads every color's
+corners in one pass and lowers by all of them, for the graph BFS.
 """
 
 from functools import cmp_to_key
@@ -60,17 +64,22 @@ def corner_tokens(parts, i, n, table):
             toks.append((CLOSE, r, p))
     if (1 - (length + 1)) % n == i:
         toks.append((OPEN, length + 1, 1))
+    _sort_corners(toks, n, table)
+    return toks
+
+
+def _sort_corners(toks, n, table):
+    """Sort one residue's corner tokens in place, decreasing in arm order."""
     if table is None:
         # the horizontal order: (height, content) descending, as
         # partition_crystal.horizontal_key states it
         toks.sort(key=_height_content, reverse=True)
-        return toks
+        return
 
     def cmp(a, b):
         return -1 if precedes(b[1], b[2], a[1], a[2], n, table) else 1
 
     toks.sort(key=cmp_to_key(cmp))
-    return toks
 
 
 def _add(parts, r):
@@ -106,6 +115,32 @@ def e_step(parts, i, n, table):
 
 def unmatched_counts(parts, i, n, table):
     return scan(corner_tokens(parts, i, n, table))[:2]
+
+
+def f_children(parts, n, table):
+    """[f_0(parts), ..., f_(n-1)(parts)], None where f_i annihilates.
+
+    One pass over the rows buckets the corner tokens by residue, in the
+    order :func:`corner_tokens` appends them; each bucket is then sorted
+    and scanned in color order, so a table too short for some comparison
+    raises exactly as the per-color :func:`f_step` calls would.
+    """
+    buckets = [[] for _ in range(n)]
+    length = len(parts)
+    above = None  # the row above r, None for the first row
+    for r, p in enumerate(parts, 1):
+        if above is None or above > p:
+            buckets[(p + 1 - r) % n].append((OPEN, r, p + 1))
+        if p > (parts[r] if r < length else 0):
+            buckets[(p - r) % n].append((CLOSE, r, p))
+        above = p
+    buckets[-length % n].append((OPEN, length + 1, 1))
+    children = []
+    for toks in buckets:
+        _sort_corners(toks, n, table)
+        first_open = scan(toks)[3]
+        children.append(None if first_open < 0 else _add(parts, toks[first_open][1]))
+    return children
 
 
 class _PastTable:

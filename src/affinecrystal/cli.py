@@ -10,7 +10,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .arms import MAX_ARM_HORIZON, arm_from_descriptor, validate_arm
+from .arms import (
+    MAX_ARM_HORIZON,
+    arm_from_descriptor,
+    illegal_boxes,
+    validate_arm,
+)
 from .errors import CrystalError
 from .graphs import (
     MAX_COUNT_SIZE,
@@ -25,13 +30,7 @@ from .graphs import (
 from .isomorphism import partition_to_monomial
 from .monomial_crystal import e_m, f_m, format_monomial, parse_monomial
 from .partition_crystal import e_up, f_down
-from .partitions import (
-    arm as arm_stat,
-    format_partition,
-    hook,
-    parse_partition,
-)
-from .arms import is_illegal_box
+from .partitions import format_partition, parse_partition
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -136,15 +135,14 @@ def _cmd_psi(args) -> int:
 def _cmd_check(args) -> int:
     lam = parse_partition(args.partition)
     a = arm_from_descriptor(args.n, args.arm)
-    bad = [b for b in lam.boxes() if is_illegal_box(lam, b, a)]
+    bad = illegal_boxes(lam, a)
     if not bad:
         print("regular")
         return 0
-    for b in bad:
-        h = hook(lam, b)
+    for b, h, arm_len in bad:
         print(
             f"illegal at (row {b.row}, col {b.col}): "
-            f"hook {h}, arm {arm_stat(lam, b)}, t {h // args.n}"
+            f"hook {h}, arm {arm_len}, t {h // args.n}"
         )
     return 1
 

@@ -82,11 +82,12 @@ def generate_graph(
     When ``objects`` is given, the vertex objects (partitions or monomials)
     are appended to it in id order.
 
-    The partition BFS runs on raw part tuples and builds a ``Partition``
-    only for ``objects``.  The monomial BFS keys its vertices on flat
-    ``(-k, i, u, ...)`` tuples in canonical factor order, carries each
-    one's exponent dict alongside, and wraps that dict as a ``Monomial``
-    only for ``objects``.
+    The partition BFS runs on raw part tuples, gets all n children of a
+    vertex from one ``f_children`` call, and builds a ``Partition`` only
+    for ``objects``.  The monomial BFS dedupes its children on the
+    frozenset of their exponent dicts' items, sorts only a new child into
+    a flat ``(-k, i, u, ...)`` key in canonical factor order, and wraps
+    its dict as a ``Monomial`` only for ``objects``.
     """
     check_rank(n)
     if type(depth) is not int or depth < 0:
@@ -114,8 +115,12 @@ def generate_graph(
 
 
 def _partition_bfs(n, depth, table, objects):
-    """``f_step`` on raw part tuples."""
-    f_step = _backend.kernel.f_step
+    """One ``f_children`` call per vertex, on raw part tuples.
+
+    It reads the vertex's corners once and returns the child of every
+    color, so the rows are not rescanned per color.
+    """
+    f_children = _backend.kernel.f_children
     vertices = [_format_parts(())]
     ids = {(): 0}
     edges: list[tuple[int, int, int]] = []
@@ -124,8 +129,7 @@ def _partition_bfs(n, depth, table, objects):
         nxt = []
         for v in frontier:
             src = ids[v]
-            for i in range(n):
-                w = f_step(v, i, n, table)
+            for i, w in enumerate(f_children(v, n, table)):
                 if w is None:
                     continue
                 dst = ids.get(w)
@@ -147,7 +151,9 @@ def _monomial_bfs(n, depth, objects):
     f_i multiplies by some A(i,k)^-1, which lowers sum(u k^2) over the
     factors by 2, so a monomial's depth is -sum(u k^2) / 2.  A child can
     therefore only meet a vertex of its own level, and ``ids`` holds one
-    level's keys at a time.
+    level's vertices at a time, keyed on the frozenset of the exponent
+    dict's items.  Only a new child's dict is sorted into a key, which
+    gives its label and its place in the next level's grouping.
     """
     root = {(0, 0): 1}
     key = _key(root)
@@ -176,10 +182,11 @@ def _monomial_bfs(n, depth, objects):
                 # clone exp's grown table into every vertex object
                 child = dict(exp)
                 _mult_a_exp(child, n, i, q + 1, -1)
-                ckey = _key(child)
-                dst = ids.get(ckey)
+                items = frozenset(child.items())
+                dst = ids.get(items)
                 if dst is None:
-                    dst = ids[ckey] = len(vertices)
+                    dst = ids[items] = len(vertices)
+                    ckey = _key(child)
                     vertices.append(_format_key(ckey, texts))
                     nxt.append((ckey, child))
                     if objects is not None:

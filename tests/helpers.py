@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import random
 
-from affinecrystal import Partition, f_m, height, residue, y
+from affinecrystal import Partition, f_down, f_m, height, residue, y
 from affinecrystal.monomial_crystal import Monomial
 
 
@@ -132,6 +132,32 @@ def oracle_monomial_graph(n: int, depth: int, mode: str):
                     vertices.append(w)
                     nxt.append(w)
                 edges.append((ids[m], ids[w], i))
+        level = nxt
+    return vertices, edges
+
+
+def oracle_partition_graph(n: int, depth: int, a):
+    """(vertex partitions, edges) by a plain BFS over the public ``f_down``.
+
+    Ids follow the convention of ``generate_graph``: the empty partition is
+    0, colors are tried in ascending order, and a vertex keeps the id of
+    its first discovery."""
+    vertices = [Partition()]
+    ids = {vertices[0]: 0}
+    edges = []
+    level = [vertices[0]]
+    for _ in range(depth):
+        nxt = []
+        for lam in level:
+            for i in range(n):
+                mu = f_down(lam, i, a)
+                if mu is None:
+                    continue
+                if mu not in ids:
+                    ids[mu] = len(vertices)
+                    vertices.append(mu)
+                    nxt.append(mu)
+                edges.append((ids[lam], ids[mu], i))
         level = nxt
     return vertices, edges
 

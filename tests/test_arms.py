@@ -18,7 +18,8 @@ from affinecrystal import (
     unchecked_arm,
     validate_arm,
 )
-from affinecrystal.arms import horizontal_value
+import affinecrystal.arms as arms
+from affinecrystal.arms import horizontal_value, illegal_boxes
 from affinecrystal.errors import (
     AxiomIIViolation,
     AxiomIViolation,
@@ -29,7 +30,13 @@ from affinecrystal.errors import (
     ParseError,
     RankTooSmall,
 )
-from helpers import oracle_is_regular
+from helpers import (
+    oracle_arm,
+    oracle_cells,
+    oracle_hook,
+    oracle_is_regular,
+    oracle_partitions,
+)
 
 BIG = parse_partition("[11,7,4,2,1,1,1,1,1,1]")
 WIDE = parse_partition("[7,6,5,5,5,3,3,1]")
@@ -158,6 +165,53 @@ class TestIllegal:
         a = arm_from_values(3, (1,))
         with pytest.raises(HorizonExceedsTable):
             is_illegal_box(Partition([5, 2]), Box(1, 1), a)  # hook 6 needs A_2
+
+
+class TestIllegalBoxes:
+    @staticmethod
+    def brute_force(parts, a):
+        out = []
+        for r, c in oracle_cells(parts):
+            h, arm_len = oracle_hook(parts, r, c), oracle_arm(parts, r, c)
+            if h % a.n == 0 and arm_len == a.value(h // a.n):
+                out.append((Box(r, c), h, arm_len))
+        return out
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_against_brute_force(self, n):
+        arms_ = [horizontal_arm(n), random_arm(n, 12, n)]
+        for m in range(11):
+            for parts in oracle_partitions(m):
+                for a in arms_:
+                    want = self.brute_force(parts, a)
+                    assert illegal_boxes(Partition(parts), a) == want
+
+    def test_matches_is_illegal_box(self):
+        a = horizontal_arm(4)
+        got = [b for b, _, _ in illegal_boxes(WIDE, a)]
+        assert got == [b for b in WIDE.boxes() if is_illegal_box(WIDE, b, a)]
+        assert Box(3, 2) in got
+
+    def test_reads_columns_once(self, monkeypatch):
+        # one conjugate per partition, not one per box
+        calls = []
+        original = arms.columns
+
+        def columns(parts):
+            calls.append(parts)
+            return original(parts)
+
+        monkeypatch.setattr(arms, "columns", columns)
+        lam = Partition([2] * 150)
+        assert illegal_boxes(lam, horizontal_arm(3)) != []
+        assert len(calls) == 1
+
+    def test_table_too_short(self):
+        # raises where is_illegal_box does on the boxes in reading order
+        a = arm_from_values(3, (1,))
+        with pytest.raises(HorizonExceedsTable) as exc:
+            illegal_boxes(Partition([5, 2]), a)
+        assert str(exc.value) == "A_2 requested but table only covers t <= 1"
 
 
 class TestRegular:

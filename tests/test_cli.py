@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from affinecrystal import Partition, format_partition, graph_from_json
 from affinecrystal.arms import MAX_ARM_HORIZON, horizontal_value
 from affinecrystal.cli import main
+from helpers import oracle_arm, oracle_cells, oracle_hook
 
 BIG = "[11,7,4,2,1,1,1,1,1,1]"
 BIG_IMAGE = "Y(2,12)^-1*Y(2,10)*Y(1,9)^-1*Y(2,8)*Y(1,7)^-1*Y(1,5)*Y(3,5)"
@@ -85,6 +87,26 @@ class TestCheck:
         code, out, _ = run(capsys, "--n", "3", "check", "[2,1]")
         assert code == 1
         assert "illegal at (row 1, col 1)" in out
+
+
+    def test_output_matches_per_box_oracle(self, capsys):
+        # one line per illegal box in reading order, with hook and arm
+        # counted cell by cell
+        rng = random.Random(11)
+        for _ in range(40):
+            n = rng.randint(3, 6)
+            parts = sorted((rng.randint(1, 9) for _ in range(rng.randint(1, 8))),
+                           reverse=True)
+            lines = [
+                f"illegal at (row {r}, col {c}): hook {oracle_hook(parts, r, c)}, "
+                f"arm {oracle_arm(parts, r, c)}, t {oracle_hook(parts, r, c) // n}"
+                for r, c in oracle_cells(parts)
+                if oracle_hook(parts, r, c) % n == 0
+                and oracle_arm(parts, r, c) == horizontal_value(n, oracle_hook(parts, r, c) // n)
+            ]
+            text = "[" + ",".join(map(str, parts)) + "]"
+            code, out, _ = run(capsys, "--n", str(n), "check", text)
+            assert (code, out) == ((1, "\n".join(lines) + "\n") if lines else (0, "regular\n"))
 
 
 class TestGraph:

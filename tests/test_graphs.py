@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
 
+import affinecrystal.graphs as graphs
 from affinecrystal import (
     CrystalGraph,
     Monomial,
@@ -25,8 +27,10 @@ from affinecrystal import (
     partitions_of_size,
     random_arm,
     unchecked_arm,
+    validate_arm,
     weight,
 )
+from affinecrystal._kernel_py import f_children, f_step
 from affinecrystal.errors import (
     BoundOutOfRange,
     DepthMismatch,
@@ -43,8 +47,10 @@ from helpers import (
     oracle_monomial_graph,
     oracle_monomial_stats,
     oracle_mult_a,
+    oracle_partition_graph,
     oracle_partitions,
     oracle_regular_counts,
+    random_partition,
 )
 
 
@@ -163,6 +169,76 @@ class TestGeneration:
             assert sum(weight(m).values()) == 1
 
 
+def axiom_breaking_arm(n, horizon, seed):
+    """A table of arbitrary values in 0..n t; fails condition (i) or (ii)."""
+    rng = random.Random(seed)
+    a = unchecked_arm(n, [rng.randint(0, n * t) for t in range(1, horizon + 1)])
+    assert validate_arm(a, horizon) != []
+    return a
+
+
+def horizon_error(fn):
+    """The text of the HorizonExceedsTable that ``fn()`` raises, or None."""
+    try:
+        fn()
+    except HorizonExceedsTable as exc:
+        return str(exc)
+    return None
+
+
+class TestPartitionBFS:
+    """The partition BFS lowers every color at once, apart from ``f_down``."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_matches_plain_bfs(self, n):
+        arms = [horizontal_arm(n), random_arm(n, 40, seed=n),
+                axiom_breaking_arm(n, 40, seed=n)]
+        for a in arms:
+            for depth in (0, 1, 5, 10):
+                objs = []
+                g = generate_graph("partition", n, depth, a, objects=objs)
+                vertices, edges = oracle_partition_graph(n, depth, a)
+                assert objs == vertices
+                assert g.vertices == [format_partition(lam) for lam in vertices]
+                assert g.edges == edges
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_children_match_single_color_steps(self, n):
+        rng = random.Random(100 + n)
+        tables = [None, random_arm(n, 40, seed=n).values,
+                  axiom_breaking_arm(n, 40, seed=n).values]
+        irregular = 0
+        for _ in range(60):
+            parts = random_partition(rng, 16).parts
+            irregular += not oracle_is_regular(parts, n, horizontal_arm(n).value)
+            for table in tables:
+                children = f_children(parts, n, table)
+                assert children == [f_step(parts, i, n, table) for i in range(n)]
+        assert irregular > 0
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_short_table_raises_identically(self, n):
+        raised = 0
+        for horizon in (1, 2, 3):
+            for seed in range(4):
+                a = random_arm(n, horizon, seed)
+                depth = 3 * n + 4
+                want = horizon_error(lambda: oracle_partition_graph(n, depth, a))
+                got = horizon_error(lambda: generate_graph("partition", n, depth, a))
+                assert got == want
+                raised += want is not None
+        assert raised > 0
+        rng = random.Random(n)
+        raised = 0
+        for _ in range(40):
+            parts = random_partition(rng, 20).parts
+            table = random_arm(n, 1, rng.randrange(10)).values
+            want = horizon_error(lambda: [f_step(parts, i, n, table) for i in range(n)])
+            assert horizon_error(lambda: f_children(parts, n, table)) == want
+            raised += want is not None
+        assert raised > 0
+
+
 def square_moment(m):
     return sum(u * k * k for (_, k), u in m.factors())
 
@@ -215,6 +291,23 @@ class TestMonomialBFS:
             assert format_monomial(m) == g.vertices[v]
             for i, w in out[v].items():
                 assert f_m(m, i) == objs[w]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_sorts_each_vertex_once(self, n, monkeypatch):
+        # _key sorts a child into its label only when the child is new;
+        # the root is the one vertex sorted before the BFS starts
+        calls = []
+        original = graphs._key
+
+        def key(exp):
+            calls.append(1)
+            return original(exp)
+
+        monkeypatch.setattr(graphs, "_key", key)
+        objs = []
+        g = generate_graph("monomial", n, 12, objects=objs)
+        assert len(calls) == 1 + (len(g.vertices) - 1)
+        assert objs == [parse_monomial(label, n) for label in g.vertices]
 
 
 class TestComparison:

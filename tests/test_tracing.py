@@ -4,9 +4,12 @@ removed attribute should fail here, not only in the benchmark."""
 import ast
 import importlib
 import os
+import types
 
 import affinecrystal
+import affinecrystal._backend as _backend
 import affinecrystal.graphs as graphs
+import affinecrystal.partition_crystal as partition_crystal
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -20,17 +23,42 @@ def test_tracer_installs_and_restores(monkeypatch):
     assert graphs.is_regular is original
 
 
-def test_tracer_counts_partition_steps(monkeypatch):
-    # one kernel.step per expanded vertex and color; a BFS that bound the
-    # kernel at import time would bypass the tracer and count none
-    monkeypatch.syspath_prepend(REPO_ROOT)
-    tracing = importlib.import_module("perfbench.tracing")
+def test_partition_bfs_calls_kernel_once_per_vertex(monkeypatch):
+    # one f_children call per expanded vertex, looked up on _backend.kernel
+    # at call time; a BFS that bound the kernel at import time would bypass
+    # the proxy (and the tracer) and count none
     n, depth = 4, 6
     expanded = len(graphs.generate_graph("partition", n, depth - 1).vertices)
+    kernel = _backend.kernel
+    calls = []
+
+    def f_children(*args):
+        calls.append(args)
+        return kernel.f_children(*args)
+
+    proxy = types.SimpleNamespace(**{k: getattr(kernel, k) for k in dir(kernel)
+                                     if not k.startswith("__")})
+    proxy.f_children = f_children
+    monkeypatch.setattr(_backend, "kernel", proxy)
+    graphs.generate_graph("partition", n, depth)
+    assert len(calls) == expanded
+
+
+def test_tracer_counts_kernel_steps(monkeypatch):
+    # f_down still lowers through the single-color f_step: one kernel.step
+    # per call
+    monkeypatch.syspath_prepend(REPO_ROOT)
+    tracing = importlib.import_module("perfbench.tracing")
+    n = 4
+    a = affinecrystal.horizontal_arm(n)
+    shapes = [affinecrystal.Partition(p) for p in
+              [(), (1,), (2, 1), (3, 1, 1), (4, 2, 2, 1), (5, 3, 1)]]
     tracer = tracing.Tracer()
     with tracing.installed(tracer, affinecrystal):
-        graphs.generate_graph("partition", n, depth)
-    assert tracer.calls["kernel.step"] == n * expanded
+        for lam in shapes:
+            for i in range(n):
+                partition_crystal.f_down(lam, i, a)
+    assert tracer.calls["kernel.step"] == n * len(shapes)
 
 
 def test_tracer_leaves_graphs_unchanged(monkeypatch):
