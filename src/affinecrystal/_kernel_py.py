@@ -4,9 +4,10 @@ Raw part tuples in, raw part tuples out.  An arm sequence arrives as its
 value table, indexed from t = 1, or as None for the horizontal formula.
 High-level wrappers live in :mod:`affinecrystal.partition_crystal`.
 
-:func:`corner_tokens` reads one color's corners, for :func:`f_step`,
-:func:`e_step` and the operators; :func:`f_children` reads every color's
-corners in one pass and lowers by all of them, for the graph BFS.
+:func:`corners` reads every color's corners in one pass over the rows,
+for :func:`f_children` and the ``Partition`` corner lists;
+:func:`corner_tokens` reads one color's, for the single-color operators.
+:func:`illegal_boxes` is the one scan of every box for the regularity rule.
 """
 
 from functools import cmp_to_key
@@ -55,6 +56,7 @@ def corner_tokens(parts, i, n, table):
     """
     toks = []
     length = len(parts)
+    # its own row loop: corners(parts, n)[i] plus the sort took 19% longer
     for r in range(1, length + 1):
         p = parts[r - 1]
         if (r == 1 or parts[r - 2] > p) and (p + 1 - r) % n == i:
@@ -117,13 +119,12 @@ def unmatched_counts(parts, i, n, table):
     return scan(corner_tokens(parts, i, n, table))[:2]
 
 
-def f_children(parts, n, table):
-    """[f_0(parts), ..., f_(n-1)(parts)], None where f_i annihilates.
+def corners(parts, n):
+    """n lists of corner tokens (side, row, col), one per residue, in row order.
 
-    One pass over the rows buckets the corner tokens by residue, in the
-    order :func:`corner_tokens` appends them; each bucket is then sorted
-    and scanned in color order, so a table too short for some comparison
-    raises exactly as the per-color :func:`f_step` calls would.
+    Row r gives its addable corner (OPEN) when the row above is longer,
+    then its removable one (CLOSE) when the row below is shorter; the
+    new-row corner below the last row comes last.
     """
     buckets = [[] for _ in range(n)]
     length = len(parts)
@@ -135,55 +136,47 @@ def f_children(parts, n, table):
             buckets[(p - r) % n].append((CLOSE, r, p))
         above = p
     buckets[-length % n].append((OPEN, length + 1, 1))
+    return buckets
+
+
+def f_children(parts, n, table):
+    """[f_0(parts), ..., f_(n-1)(parts)], None where f_i annihilates.
+
+    The :func:`corners` buckets hold each color's tokens in the order
+    :func:`corner_tokens` appends them; each bucket is sorted and scanned
+    in color order, so a table too short for some comparison raises
+    exactly as the per-color :func:`f_step` calls would.
+    """
     children = []
-    for toks in buckets:
+    for toks in corners(parts, n):
         _sort_corners(toks, n, table)
         first_open = scan(toks)[3]
         children.append(None if first_open < 0 else _add(parts, toks[first_open][1]))
     return children
 
 
-class _PastTable:
-    """Stands in for A_t past the end of a table.
-
-    Comparing an arm with it raises HorizonExceedsTable, so a scan raises
-    exactly when it reaches the first box that needs A_t.
-    """
-
-    __slots__ = ("t", "horizon")
-
-    def __init__(self, t, horizon):
-        self.t = t
-        self.horizon = horizon
-
-    def __eq__(self, arm):
-        raise HorizonExceedsTable(self.t, self.horizon)
-
-
 def _illegal_arms(n, table, max_hook):
     """List indexed by hook h <= max_hook: A_(h/n) when n divides h, else -1.
 
-    That is the one arm that makes a box of hook h illegal.
+    That is the one arm that makes a box of hook h illegal.  A table must
+    cover every t <= max_hook / n.
     """
     out = [-1] * (max_hook + 1)
     for t in range(1, max_hook // n + 1):
-        if table is not None and t > len(table):
-            out[n * t] = _PastTable(t, len(table))
-        else:
-            out[n * t] = arm_value(t, n, table)
+        out[n * t] = arm_value(t, n, table)
     return out
 
 
-def _row_illegal(p, legs, shift, illegal_arm):
+def _row_illegal(p, legs, illegal_arm):
     """True when a row of length p has an illegal box; scans left to right.
 
-    The box in column c + 1 has arm p - 1 - c and leg legs[c] + shift - 1,
-    so its hook is arm + legs[c] + shift.
+    The box in column c + 1 has arm p - 1 - c and leg legs[c], so its hook
+    is arm + legs[c] + 1.
     """
     a = p
     for leg in legs[:p]:
         a -= 1
-        if illegal_arm[a + leg + shift] == a:
+        if illegal_arm[a + leg + 1] == a:
             return True
     return False
 
@@ -196,22 +189,39 @@ def columns(parts):
     return conj
 
 
-def is_regular(parts, n, table):
-    """True when no box has hook n*t together with arm A_t.
+def illegal_boxes(parts, n, table):
+    """(row, col, hook, arm) of every box with hook n*t and arm A_t.
 
-    Scans the top row first, each row left to right, so a table too short
-    for some box raises only if no illegal box comes before it.
+    Yields in reading order, the top row first and each row left to
+    right, so a table too short for some box raises only when the scan
+    reaches it.
     """
     if not parts:
-        return True
+        return
     conj = columns(parts)
-    illegal_arm = _illegal_arms(n, table, parts[0] + len(parts) - 1)
-    # rows 1..r + 1 all reach every column of row r + 1, so the leg of
-    # its box in column c + 1 is conj[c] - r - 1
-    for r, p in enumerate(parts):
-        if _row_illegal(p, conj, -r, illegal_arm):
-            return False
-    return True
+    # no hook exceeds that of the box (1, 1); a table covers every hook
+    # below n * (horizon + 1), and a hook n*t past that needs A_t beyond it
+    top = parts[0] + len(parts) - 1
+    if table is not None:
+        top = min(top, n * (len(table) + 1) - 1)
+    illegal_arm = _illegal_arms(n, table, top)
+    for r, p in enumerate(parts, 1):
+        a = p
+        # rows 1..r all reach every column of row r, so the box in column
+        # c + 1 has leg conj[c] - r and hook a + conj[c] - r + 1
+        for leg in conj[:p]:
+            a -= 1
+            h = a + leg - r + 1
+            if h > top:
+                if h % n == 0:
+                    raise HorizonExceedsTable(h // n, len(table))
+            elif illegal_arm[h] == a:
+                yield r, p - a, h, a
+
+
+def is_regular(parts, n, table):
+    """True when no box has hook n*t together with arm A_t."""
+    return next(illegal_boxes(parts, n, table), None) is None
 
 
 def regular_counts(n, table, max_size):
@@ -235,7 +245,7 @@ def regular_counts(n, table, max_size):
     choices = [iter(range(1, max_size + 1))]  # next row candidates per depth
     while choices:
         for p in choices[-1]:
-            if not _row_illegal(p, below, 1, illegal_arm):
+            if not _row_illegal(p, below, illegal_arm):
                 break
         else:
             choices.pop()

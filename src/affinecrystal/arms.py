@@ -20,7 +20,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import _backend
 from ._kernel_py import arm_value, horizontal_value  # noqa: F401 (public here)
-from ._kernel_py import columns
 from .errors import (
     AxiomIIViolation,
     AxiomIViolation,
@@ -221,19 +220,13 @@ def is_illegal_box(lam: Partition, b: Box, a: ArmSequence) -> bool:
 def illegal_boxes(lam: Partition, a: ArmSequence) -> list[tuple[Box, int, int]]:
     """(box, hook, arm) for every illegal box of ``lam``, in reading order.
 
-    The column lengths are read once, so the work is linear in the size of
-    ``lam``.  The boxes are tested in the order of ``lam.boxes()``, so a
-    table too short for some box raises where :func:`is_illegal_box` would.
+    The kernel's one box scan reads the column lengths once, so the work
+    is linear in the size of ``lam``.  The boxes are tested in the order
+    of ``lam.boxes()``, so a table too short for some box raises where
+    :func:`is_illegal_box` would.
     """
-    conj = columns(lam.parts)
-    out = []
-    for r, p in enumerate(lam.parts, 1):
-        for c in range(1, p + 1):
-            arm_len = p - c
-            h = arm_len + conj[c - 1] - r + 1
-            if h % a.n == 0 and arm_len == a.value(h // a.n):
-                out.append((Box(r, c), h, arm_len))
-    return out
+    found = _backend.kernel.illegal_boxes(lam.parts, a.n, a.values)
+    return [(Box(r, c), h, arm_len) for r, c, h, arm_len in found]
 
 
 def is_regular(lam: Partition, a: ArmSequence) -> bool:

@@ -2,7 +2,8 @@
 
 Commands: apply, psi, check, graph, compare, count, validate-arm.  Results
 go to stdout, diagnostics to stderr.  Exit codes: 0 success or pass, 1
-verification failure (witness printed), 2 usage or parse error.
+verification failure (witness printed), 2 usage or parse error, or out of
+memory.
 """
 
 from __future__ import annotations
@@ -111,18 +112,16 @@ def _cmd_apply(args) -> int:
     if text.startswith("["):
         obj = parse_partition(text)
         a = arm_from_descriptor(args.n, args.arm)
-        for kind, i in ops:
-            if obj is None:
-                break
-            obj = f_down(obj, i, a) if kind == "f" else e_up(obj, i, a)
-        print("0" if obj is None else format_partition(obj))
+        steps = {"f": lambda x, i: f_down(x, i, a), "e": lambda x, i: e_up(x, i, a)}
+        fmt = format_partition
     else:
         obj = parse_monomial(text, args.n)
-        for kind, i in ops:
-            if obj is None:
-                break
-            obj = f_m(obj, i) if kind == "f" else e_m(obj, i)
-        print("0" if obj is None else format_monomial(obj))
+        steps, fmt = {"f": f_m, "e": e_m}, format_monomial
+    for kind, i in ops:
+        if obj is None:
+            break
+        obj = steps[kind](obj, i)
+    print("0" if obj is None else fmt(obj))
     return 0
 
 
@@ -153,9 +152,6 @@ def _make_graph(model: str, n: int, depth: int, arm_text: str, objects=None):
 
 
 def _cmd_graph(args) -> int:
-    if args.format == "text":
-        print("graph output needs --format dot or --format json", file=sys.stderr)
-        return 2
     g = _make_graph(args.model, args.n, args.depth, args.arm)
     sys.stdout.write(export_dot(g) if args.format == "dot" else export_json(g))
     return 0
@@ -228,9 +224,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.n < 3:
             raise CrystalError(f"--n must be at least 3, got {args.n}")
+        if (args.command == "graph") == (args.format == "text"):
+            needs = "dot or --format json" if args.command == "graph" else "text"
+            raise CrystalError(f"{args.command} output needs --format {needs}")
         return _HANDLERS[args.command](args)
     except (CrystalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; try a smaller input", file=sys.stderr)
         return 2
 
 

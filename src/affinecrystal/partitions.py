@@ -16,7 +16,8 @@ from __future__ import annotations
 import re
 from typing import Iterator, NamedTuple
 
-from ._kernel_py import _add, _remove, columns
+from ._kernel_py import _add, _remove, columns, corners
+from .brackets import CLOSE, OPEN
 from .errors import (
     BoxOutside,
     NonPositivePart,
@@ -119,23 +120,11 @@ class Partition:
         One box per row that can grow, plus the new-row box below the
         diagram.  Always one more entry than :meth:`removable_boxes`.
         """
-        parts = self.parts
-        out = []
-        for r, p in enumerate(parts, 1):
-            if r == 1 or parts[r - 2] > p:
-                out.append(Box(r, p + 1))
-        out.append(Box(len(parts) + 1, 1))
-        return out
+        return [Box(r, c) for side, r, c in corners(self.parts, 1)[0] if side == OPEN]
 
     def removable_boxes(self) -> list[Box]:
         """Last box of each row strictly longer than the next, by row."""
-        parts = self.parts
-        out = []
-        for r, p in enumerate(parts, 1):
-            nxt = parts[r] if r < len(parts) else 0
-            if p > nxt:
-                out.append(Box(r, p))
-        return out
+        return [Box(r, c) for side, r, c in corners(self.parts, 1)[0] if side == CLOSE]
 
     def add_box(self, b: Box) -> "Partition":
         if b not in self.addable_boxes():

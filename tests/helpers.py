@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import random
 
-from affinecrystal import Partition, f_down, f_m, height, residue, y
+from affinecrystal import Partition, f_down, f_m, y
 from affinecrystal.monomial_crystal import Monomial
 
 
@@ -97,15 +97,36 @@ def oracle_mult_a(m: Monomial, i: int, k: int, sign: int = 1) -> Monomial:
     return m * Monomial(m.n, factor)
 
 
+def oracle_corners(parts):
+    """(addable, removable) cells of ``parts``, each a list sorted by row.
+
+    From the definition, cell by cell: a cell is addable when adding it,
+    and removable when removing it, leaves a partition, that is, a set
+    of cells closed under stepping up and stepping left."""
+    cells = set(oracle_cells(parts))
+
+    def is_diagram(cs):
+        return all((r == 1 or (r - 1, c) in cs) and (c == 1 or (r, c - 1) in cs)
+                   for r, c in cs)
+
+    width = max((c for _, c in cells), default=0)
+    outside = [(r, c) for r in range(1, len(parts) + 2)
+               for c in range(1, width + 2) if (r, c) not in cells]
+    addable = [b for b in outside if is_diagram(cells | {b})]
+    removable = [b for b in sorted(cells) if is_diagram(cells - {b})]
+    return addable, removable
+
+
 def oracle_corner_monomial(lam: Partition, n: int) -> Monomial:
-    """The corner map from the corner boxes: Y(c,h-1) per addable corner,
-    Y(c,h+1)^-1 per removable corner."""
+    """The corner map from the corner cells of :func:`oracle_corners`:
+    Y(c,h-1) per addable corner, Y(c,h+1)^-1 per removable corner."""
     exp: dict[tuple[int, int], int] = {}
-    for b in lam.addable_boxes():
-        key = (residue(b, n), height(b) - 1)
+    addable, removable = oracle_corners(lam.parts)
+    for r, c in addable:
+        key = ((c - r) % n, r + c - 2)
         exp[key] = exp.get(key, 0) + 1
-    for b in lam.removable_boxes():
-        key = (residue(b, n), height(b) + 1)
+    for r, c in removable:
+        key = ((c - r) % n, r + c)
         exp[key] = exp.get(key, 0) - 1
     return Monomial(n, exp)
 

@@ -18,7 +18,7 @@ from affinecrystal import (
     unchecked_arm,
     validate_arm,
 )
-import affinecrystal.arms as arms
+from affinecrystal import _kernel_py
 from affinecrystal.arms import horizontal_value, illegal_boxes
 from affinecrystal.errors import (
     AxiomIIViolation,
@@ -195,13 +195,13 @@ class TestIllegalBoxes:
     def test_reads_columns_once(self, monkeypatch):
         # one conjugate per partition, not one per box
         calls = []
-        original = arms.columns
+        original = _kernel_py.columns
 
         def columns(parts):
             calls.append(parts)
             return original(parts)
 
-        monkeypatch.setattr(arms, "columns", columns)
+        monkeypatch.setattr(_kernel_py, "columns", columns)
         lam = Partition([2] * 150)
         assert illegal_boxes(lam, horizontal_arm(3)) != []
         assert len(calls) == 1

@@ -2,7 +2,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +18,7 @@ from affinecrystal.arms import MAX_ARM_HORIZON, horizontal_value
 from affinecrystal.cli import main
 from helpers import oracle_arm, oracle_cells, oracle_hook
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 BIG = "[11,7,4,2,1,1,1,1,1,1]"
 BIG_IMAGE = "Y(2,12)^-1*Y(2,10)*Y(1,9)^-1*Y(2,8)*Y(1,7)^-1*Y(1,5)*Y(3,5)"
 
@@ -290,6 +296,45 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["--n", "3", "frobnicate"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["apply", "[3,1]", "f0"],
+            ["apply", "Y(0,0)", "f0"],
+            ["psi", "[3,1]"],
+            ["check", "[3,1]"],
+            ["compare", "--model2", "monomial", "--depth", "2"],
+            ["count", "--max", "3"],
+            ["validate-arm", "--horizon", "2"],
+        ],
+        ids=["apply-partition", "apply-monomial", "psi", "check", "compare",
+             "count", "validate-arm"],
+    )
+    def test_format_outside_graph_rejected(self, capsys, command, fmt):
+        code, out, err = run(capsys, "--n", "3", "--format", fmt, *command)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {command[0]} output needs --format text\n"
+
+    def test_out_of_memory_exits_2(self):
+        # the column lengths of one row of 10^8 boxes need about 800 MB
+        def limit_memory():
+            cap = 400 * 2**20
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "affinecrystal.cli", "--n", "3",
+             "check", "[100000000]"],
+            preexec_fn=limit_memory, env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: out of memory")
+        assert "Traceback" not in proc.stderr
 
 
 # Each text is drawn half the time from well-formed tokens and half from an

@@ -25,7 +25,13 @@ from affinecrystal.errors import (
     ParseError,
     RankTooSmall,
 )
-from helpers import oracle_arm, oracle_hook, oracle_partitions, random_partition
+from helpers import (
+    oracle_arm,
+    oracle_corners,
+    oracle_hook,
+    oracle_partitions,
+    random_partition,
+)
 
 BIG = parse_partition("[11,7,4,2,1,1,1,1,1,1]")
 WIDE = parse_partition("[7,6,5,5,5,3,3,1]")
@@ -127,6 +133,14 @@ class TestCorners:
     def test_single(self):
         assert Partition([1]).addable_boxes() == [Box(1, 2), Box(2, 1)]
         assert Partition([1]).removable_boxes() == [Box(1, 1)]
+
+    def test_against_definition(self):
+        for m in range(13):
+            for parts in oracle_partitions(m):
+                lam = Partition(parts)
+                addable, removable = oracle_corners(parts)
+                assert lam.addable_boxes() == addable
+                assert lam.removable_boxes() == removable
 
     @given(partitions_strategy)
     def test_one_more_addable(self, lam):
