@@ -28,6 +28,7 @@ from .graphs import (
     GraphComparison,
     GraphMismatch,
     compare_graphs,
+    compare_models,
     count_regular,
     export_dot,
     export_json,

@@ -22,12 +22,13 @@ from .graphs import (
     MAX_COUNT_SIZE,
     MONOMIAL_MODEL,
     PARTITION_MODEL,
-    compare_graphs,
+    compare_models,
     count_regular,
     export_dot,
     export_json,
     generate_graph,
 )
+from .graphs import compare_graphs  # noqa: F401 (patched by the tracer)
 from .isomorphism import partition_to_monomial
 from .monomial_crystal import e_m, f_m, format_monomial, parse_monomial
 from .partition_crystal import e_up, f_down
@@ -146,38 +147,30 @@ def _cmd_check(args) -> int:
     return 1
 
 
-def _make_graph(model: str, n: int, depth: int, arm_text: str, objects=None):
-    a = arm_from_descriptor(n, arm_text) if model == PARTITION_MODEL else None
-    return generate_graph(model, n, depth, a, objects)
+def _model_arm(model: str, n: int, arm_text: str):
+    return arm_from_descriptor(n, arm_text) if model == PARTITION_MODEL else None
 
 
 def _cmd_graph(args) -> int:
-    g = _make_graph(args.model, args.n, args.depth, args.arm)
+    a = _model_arm(args.model, args.n, args.arm)
+    g = generate_graph(args.model, args.n, args.depth, a)
     sys.stdout.write(export_dot(g) if args.format == "dot" else export_json(g))
     return 0
 
 
 def _cmd_compare(args) -> int:
-    agree = partitions = monomials = None
-    if args.use_psi:
-        if args.model != PARTITION_MODEL or args.model2 != MONOMIAL_MODEL:
-            print(
-                "--use-psi needs --model partition and --model2 monomial",
-                file=sys.stderr,
-            )
-            return 2
-        partitions, monomials = [], []
-
-        def agree(v1, v2):
-            return partition_to_monomial(partitions[v1], args.n) == monomials[v2]
-
-    g1 = _make_graph(args.model, args.n, args.depth, args.arm, partitions)
-    g2 = _make_graph(args.model2, args.n, args.depth, args.arm2 or args.arm, monomials)
-    result = compare_graphs(g1, g2, agree)
-    if result.isomorphic:
-        print(f"isomorphic ({len(g1.vertices)} vertices)")
+    if args.use_psi and (args.model != PARTITION_MODEL or args.model2 != MONOMIAL_MODEL):
+        print("--use-psi needs --model partition and --model2 monomial", file=sys.stderr)
+        return 2
+    a1 = _model_arm(args.model, args.n, args.arm)
+    a2 = _model_arm(args.model2, args.n, args.arm2 or args.arm)
+    vertices, mismatch = compare_models(
+        args.n, args.depth, args.model, args.model2, a1, a2, args.use_psi
+    )
+    if mismatch is None:
+        print(f"isomorphic ({vertices} vertices)")
         return 0
-    print(f"mismatch: {result.mismatch}")
+    print(f"mismatch: {mismatch}")
     return 1
 
 

@@ -10,11 +10,9 @@ vertex keeps the id it got on first discovery.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
-from . import _backend
+from . import _backend, isomorphism
 from .arms import ArmSequence, horizontal_arm
 from .errors import (
     BoundOutOfRange,
@@ -48,6 +46,18 @@ MONOMIAL_MODEL = "monomial"
 # so size 100 is hours of work, while the lists stay small
 MAX_COUNT_SIZE = 100
 
+# most vertices a graph or a walk may reach.  On a 2-core x86 host the
+# n = 4, depth-41 monomial graph (89,037 vertices) took 4 s and peaked at
+# 160 MB as JSON export, so the ceiling allows about a minute and 1 GB
+MAX_GRAPH_VERTICES = 500_000
+# a partition with no part repeated n times has none repeated n + 1 times,
+# so n = 3 has the fewest vertices at every depth; it passes the ceiling at
+# depth 58, and the vertex count never needs more terms
+_CEILING_DEPTH = 58
+
+# the monomial Y(0,0) as the frozenset of its canonical exponent items
+_MONOMIAL_ROOT = frozenset({((0, 0), 1)})
+
 
 @dataclass
 class CrystalGraph:
@@ -69,38 +79,67 @@ class CrystalGraph:
         return out
 
 
+def _check_graph_size(n: int, depth: int) -> None:
+    """BoundOutOfRange unless ``depth`` is an int >= 0 whose graph has at
+    most MAX_GRAPH_VERTICES vertices.
+
+    Both models, under every valid arm, have
+    sum_{m <= depth} [q^m] prod_{n does not divide k} 1/(1 - q^k) vertices.
+    """
+    if type(depth) is not int or depth < 0:
+        raise BoundOutOfRange(f"depth must be an integer >= 0, got {depth!r}")
+    terms = min(depth, _CEILING_DEPTH)
+    counts = [1] + [0] * terms
+    for k in range(1, terms + 1):
+        if k % n:
+            for m in range(k, terms + 1):
+                counts[m] += counts[m - k]
+    if sum(counts) > MAX_GRAPH_VERTICES:
+        more = "more than " if depth > terms else ""
+        raise BoundOutOfRange(
+            f"depth {depth} at rank {n} gives {more}{sum(counts)} vertices; "
+            f"the ceiling is {MAX_GRAPH_VERTICES}"
+        )
+
+
+def _check_level(vertices: int, level: int) -> None:
+    """Once per level: a table that breaks the arm axioms can stray from
+    the count :func:`_check_graph_size` bounds."""
+    if vertices > MAX_GRAPH_VERTICES:
+        raise BoundOutOfRange(
+            f"{vertices} vertices by depth {level}; the ceiling is {MAX_GRAPH_VERTICES}"
+        )
+
+
+def _partition_arm(n: int, a: ArmSequence | None) -> ArmSequence:
+    if a is None:
+        return horizontal_arm(n)
+    if a.n != n:
+        raise RankMismatch(f"arm sequence has rank {a.n}, graph has rank {n}")
+    return a
+
+
 def generate_graph(
     model: str,
     n: int,
     depth: int,
     a: ArmSequence | None = None,
-    objects: list | None = None,
 ) -> CrystalGraph:
     """All vertices within ``depth`` lowering steps of the root, with every
     lowering edge among them.
 
-    When ``objects`` is given, the vertex objects (partitions or monomials)
-    are appended to it in id order.
-
-    The partition BFS runs on raw part tuples, gets all n children of a
-    vertex from one ``f_children`` call, and builds a ``Partition`` only
-    for ``objects``.  The monomial BFS dedupes its children on the
-    frozenset of their exponent dicts' items, sorts only a new child into
-    a flat ``(-k, i, u, ...)`` key in canonical factor order, and wraps
-    its dict as a ``Monomial`` only for ``objects``.
+    The partition BFS runs on raw part tuples and gets all n children of a
+    vertex from one ``f_children`` call.  The monomial BFS runs on
+    :func:`_monomial_children` and sorts only a new child into its label.
     """
     check_rank(n)
-    if type(depth) is not int or depth < 0:
-        raise BoundOutOfRange(f"depth must be an integer >= 0, got {depth!r}")
+    _check_graph_size(n, depth)
     if model == PARTITION_MODEL:
-        if a is None:
-            a = horizontal_arm(n)
-        elif a.n != n:
-            raise RankMismatch(f"arm sequence has rank {a.n}, graph has rank {n}")
-        vertices, edges = _partition_bfs(n, depth, a.values, objects)
+        a = _partition_arm(n, a)
+        vertices, edges = _partition_bfs(n, depth, a.values)
         arm_descriptor = a.descriptor
     elif model == MONOMIAL_MODEL:
-        vertices, edges = _monomial_bfs(n, depth, objects)
+        vertices, edges = _monomial_bfs(n, depth)
         arm_descriptor = None
     else:
         raise UnknownChoice(f"unknown model {model!r}")
@@ -114,7 +153,7 @@ def generate_graph(
     )
 
 
-def _partition_bfs(n, depth, table, objects):
+def _partition_bfs(n, depth, table):
     """One ``f_children`` call per vertex, on raw part tuples.
 
     It reads the vertex's corners once and returns the child of every
@@ -125,7 +164,7 @@ def _partition_bfs(n, depth, table, objects):
     ids = {(): 0}
     edges: list[tuple[int, int, int]] = []
     frontier = [()]
-    for _ in range(depth):
+    for level in range(1, depth + 1):
         nxt = []
         for v in frontier:
             src = ids[v]
@@ -138,62 +177,58 @@ def _partition_bfs(n, depth, table, objects):
                     vertices.append(_format_parts(w))
                     nxt.append(w)
                 edges.append((src, dst, i))
+        _check_level(len(vertices), level)
         frontier = nxt
-    if objects is not None:
-        # ids holds the vertices in id order
-        objects.extend(map(_trusted, ids))
     return vertices, edges
 
 
-def _monomial_bfs(n, depth, objects):
-    """Analytic-mode f_m on (key, exponent dict) pairs; see ``_key``.
+def _monomial_children(items, n):
+    """[f_0(m), ..., f_(n-1)(m)] in analytic mode, None where f_i
+    annihilates; m and each child are frozensets of canonical exponent
+    items.  One grouping by residue serves every color."""
+    exp = dict(items)
+    terms = [[] for _ in range(n)]
+    for (i, k), u in items:
+        terms[i].append((k, u))
+    children = []
+    for i, residue_terms in enumerate(terms):
+        residue_terms.sort()
+        q = _phi_q(residue_terms)[1]
+        child = None
+        if q is not None:
+            child = dict(exp)
+            _mult_a_exp(child, n, i, q + 1, -1)
+            child = frozenset(child.items())
+        children.append(child)
+    return children
+
+
+def _monomial_bfs(n, depth):
+    """BFS over :func:`_monomial_children`.
 
     f_i multiplies by some A(i,k)^-1, which lowers sum(u k^2) over the
     factors by 2, so a monomial's depth is -sum(u k^2) / 2.  A child can
     therefore only meet a vertex of its own level, and ``ids`` holds one
-    level's vertices at a time, keyed on the frozenset of the exponent
-    dict's items.  Only a new child's dict is sorted into a key, which
-    gives its label and its place in the next level's grouping.
+    level's vertices at a time.  Only a new child is sorted into a key,
+    which gives its label.
     """
-    root = {(0, 0): 1}
-    key = _key(root)
     texts = _FactorTexts()
-    vertices = [_format_key(key, texts)]
+    vertices = [_format_key(_key(_MONOMIAL_ROOT), texts)]
     edges: list[tuple[int, int, int]] = []
-    if objects is not None:
-        objects.append(_canonical(n, root))
-    frontier = [(key, root)]
+    frontier = [_MONOMIAL_ROOT]
     first = 0  # id of frontier[0]; each level's ids are consecutive
-    colors = range(n)
     for _ in range(depth):
         nxt = []
         ids = {}
-        for src, (key, exp) in enumerate(frontier, first):
-            # one grouping by residue serves every color; the key runs by
-            # decreasing k, so read backwards it gives _phi_q increasing k
-            terms = [[] for _ in colors]
-            for nk, i, u in zip(key[-3::-3], key[-2::-3], key[-1::-3]):
-                terms[i].append((-nk, u))
-            for i in colors:
-                q = _phi_q(terms[i])[1]
-                if q is None:
+        for src, v in enumerate(frontier, first):
+            for i, w in enumerate(_monomial_children(v, n)):
+                if w is None:
                     continue
-                # dict() sizes the table to the entries; exp.copy() would
-                # clone exp's grown table into every vertex object
-                child = dict(exp)
-                _mult_a_exp(child, n, i, q + 1, -1)
-                items = frozenset(child.items())
-                dst = ids.get(items)
+                dst = ids.get(w)
                 if dst is None:
-                    dst = ids[items] = len(vertices)
-                    ckey = _key(child)
-                    vertices.append(_format_key(ckey, texts))
-                    nxt.append((ckey, child))
-                    if objects is not None:
-                        # no copy: _canonical asks for the only reference,
-                        # and the frontier keeps another, but the BFS never
-                        # mutates a stored dict (children start as copies)
-                        objects.append(_canonical(n, child))
+                    dst = ids[w] = len(vertices)
+                    vertices.append(_format_key(_key(w), texts))
+                    nxt.append(w)
                 edges.append((src, dst, i))
         first += len(frontier)
         frontier = nxt
@@ -229,71 +264,113 @@ class GraphComparison:
         return self.mismatch is None
 
 
-def compare_graphs(
-    g1: CrystalGraph,
-    g2: CrystalGraph,
-    agree: Callable[[int, int], bool] | None = None,
-) -> GraphComparison:
-    """Synchronized traversal from the roots following equal-colored edges.
+def _walk(side1, side2, levels, check=None):
+    """Pair two crystals level by level from their roots along equal colors.
+
+    A side is ``(root, children)``; ``children(v)`` lists v's child of each
+    color, None where that color does not lower v.  ``check(v1, v2)`` runs
+    on each new pair, root first, and returns None or why they disagree.
+    Returns each side's map from vertex to pair index (its discovery order)
+    and the first mismatch, naming the sides' own vertices, or None.
+    """
+    (root1, children1), (root2, children2) = side1, side2
+    ids1, ids2 = {root1: 0}, {root2: 0}
+    detail = check and check(root1, root2)
+    if detail:
+        return ids1, ids2, GraphMismatch("label-mismatch", root1, root2, detail=detail)
+    frontier = [(root1, root2)]
+    for level in range(1, levels + 1):
+        nxt = []
+        for v1, v2 in frontier:
+            for color, (w1, w2) in enumerate(zip(children1(v1), children2(v2))):
+                if w1 is None or w2 is None:
+                    if w1 is not w2:
+                        side = "first" if w2 is None else "second"
+                        return ids1, ids2, GraphMismatch(
+                            "edge-presence", v1, v2, color, f"only the {side} graph lowers here")
+                elif w1 not in ids1 and w2 not in ids2:
+                    ids1[w1] = ids2[w2] = len(ids2)
+                    detail = check and check(w1, w2)
+                    if detail:
+                        return ids1, ids2, GraphMismatch("label-mismatch", w1, w2, color, detail)
+                    nxt.append((w1, w2))
+                elif ids1.get(w1) != ids2.get(w2):
+                    return ids1, ids2, GraphMismatch(
+                        "inconsistent-pairing", w1, w2, color, "conflicts with an earlier pairing")
+        _check_level(len(ids1), level)
+        frontier = nxt
+    return ids1, ids2, None
+
+
+def _model_side(model, n, a):
+    if model == PARTITION_MODEL:
+        table, f_children = _partition_arm(n, a).values, _backend.kernel.f_children
+        return (), lambda parts: f_children(parts, n, table)
+    if model == MONOMIAL_MODEL:
+        return _MONOMIAL_ROOT, lambda items: _monomial_children(items, n)
+    raise UnknownChoice(f"unknown model {model!r}")
+
+
+def compare_models(n, depth, model1, model2, a1=None, a2=None, use_psi=False):
+    """Walk two models' crystals to ``depth`` in lockstep, building no graph.
+
+    ``a1`` and ``a2`` are the arm sequences of partition models.  With
+    ``use_psi`` (the partition model first, the monomial one second) every
+    pair must also agree through ``isomorphism.partition_to_monomial``.
+    Returns the number of pairs and the first mismatch or None, with the
+    ids :func:`generate_graph` gives, as :func:`compare_graphs` reports it
+    on the two generated graphs.
+    """
+    check_rank(n)
+    _check_graph_size(n, depth)
+    check = None
+    if use_psi:
+        if (model1, model2) != (PARTITION_MODEL, MONOMIAL_MODEL):
+            raise UnknownChoice("use_psi needs the partition model, then the monomial one")
+        texts = _FactorTexts()
+
+        def check(parts, items):
+            # looked up at call time, so a profiler or a test can wrap it
+            if isomorphism.partition_to_monomial(_trusted(parts), n) == _canonical(n, dict(items)):
+                return None
+            return (f"{_format_parts(parts)!r} does not correspond to "
+                    f"{_format_key(_key(items), texts)!r}")
+
+    sides = _model_side(model1, n, a1), _model_side(model2, n, a2)
+    ids1, ids2, mismatch = _walk(*sides, depth, check)
+    if mismatch is not None:
+        # a vertex not yet paired is the next one its side would discover
+        mismatch.vertex1 = ids1.get(mismatch.vertex1, len(ids1))
+        mismatch.vertex2 = ids2.get(mismatch.vertex2, len(ids2))
+    return len(ids1), mismatch
+
+
+def _graph_side(g: CrystalGraph):
+    out, colors = g.out_edges(), range(g.n)
+    return g.root, lambda v: [out[v].get(color) for color in colors]
+
+
+def compare_graphs(g1: CrystalGraph, g2: CrystalGraph) -> GraphComparison:
+    """Synchronized walk from the roots following equal-colored edges.
 
     Returns the vertex bijection when it is total and consistent, else the
-    first divergence.  When ``agree`` is given, every paired vertex, root
-    included, must also satisfy agree(id1, id2).
+    first divergence.  Like every walk, it raises BoundOutOfRange once it
+    pairs more than MAX_GRAPH_VERTICES vertices.
     """
     if g1.n != g2.n:
         raise RankMismatch(f"ranks differ: {g1.n} vs {g2.n}")
     if g1.depth != g2.depth:
         raise DepthMismatch(f"depths differ: {g1.depth} vs {g2.depth}")
-
-    out1, out2 = g1.out_edges(), g2.out_edges()
-    r1, r2 = g1.root, g2.root
-    fwd = {r1: r2}
-    bwd = {r2: r1}
-
-    def fail(kind, v1=None, v2=None, color=None, detail=""):
-        return GraphComparison(
-            mismatch=GraphMismatch(kind, v1, v2, color, detail)
-        )
-
-    def disagreement(v1, v2):
-        return f"{g1.vertices[v1]!r} does not correspond to {g2.vertices[v2]!r}"
-
-    if agree is not None and not agree(r1, r2):
-        return fail("label-mismatch", r1, r2, detail=disagreement(r1, r2))
-    queue = deque([(r1, r2)])
-    while queue:
-        v1, v2 = queue.popleft()
-        o1, o2 = out1[v1], out2[v2]
-        for color in sorted(o1.keys() | o2.keys()):
-            w1 = o1.get(color)
-            w2 = o2.get(color)
-            if w1 is None or w2 is None:
-                side = "first" if w2 is None else "second"
-                return fail(
-                    "edge-presence", v1, v2, color,
-                    detail=f"only the {side} graph lowers here",
-                )
-            p2 = fwd.get(w1)
-            p1 = bwd.get(w2)
-            if p2 is None and p1 is None:
-                fwd[w1], bwd[w2] = w2, w1
-                if agree is not None and not agree(w1, w2):
-                    return fail(
-                        "label-mismatch", w1, w2, color,
-                        detail=disagreement(w1, w2),
-                    )
-                queue.append((w1, w2))
-            elif p2 != w2 or p1 != w1:
-                return fail(
-                    "inconsistent-pairing", w1, w2, color,
-                    detail="conflicts with an earlier pairing",
-                )
-    if len(fwd) != len(g1.vertices) or len(bwd) != len(g2.vertices):
-        return fail(
+    # each level pairs a new vertex, so no walk has more levels than g1 vertices
+    ids1, ids2, mismatch = _walk(_graph_side(g1), _graph_side(g2), len(g1.vertices))
+    if mismatch is None and (len(ids1), len(ids2)) != (len(g1.vertices), len(g2.vertices)):
+        mismatch = GraphMismatch(
             "unreached-vertices",
-            detail=f"paired {len(fwd)} of {len(g1.vertices)}/{len(g2.vertices)}",
+            detail=f"paired {len(ids1)} of {len(g1.vertices)}/{len(g2.vertices)}",
         )
-    return GraphComparison(bijection=fwd)
+    if mismatch is not None:
+        return GraphComparison(mismatch=mismatch)
+    return GraphComparison(bijection=dict(zip(ids1, ids2)))
 
 
 def count_regular(n: int, a: ArmSequence, max_size: int) -> list[int]:

@@ -69,7 +69,7 @@ class Monomial:
 
     def factors(self) -> tuple[tuple[tuple[int, int], int], ...]:
         """((i, k), u) pairs sorted by decreasing k, then increasing i."""
-        key = _key(self._exp)
+        key = _key(self._exp.items())
         return tuple(((i, -nk), u) for nk, i, u in zip(key[::3], key[1::3], key[2::3]))
 
     def support(self, i: int) -> list[int]:
@@ -128,9 +128,9 @@ def _canonical(n: int, exp: dict) -> Monomial:
     return m
 
 
-def _key(exp: dict) -> tuple[int, ...]:
-    """Flat (-k, i, u, -k, i, u, ...) of a canonical dict, in factor order."""
-    return tuple(chain.from_iterable(sorted([(-k, i, u) for (i, k), u in exp.items()])))
+def _key(items) -> tuple[int, ...]:
+    """Flat (-k, i, u, -k, i, u, ...) of a canonical dict's items, in factor order."""
+    return tuple(chain.from_iterable(sorted([(-k, i, u) for (i, k), u in items])))
 
 
 class _FactorTexts(dict):
@@ -194,7 +194,7 @@ def parse_monomial(text: str, n: int) -> Monomial:
 
 def format_monomial(m: Monomial) -> str:
     """Canonical text: factors by decreasing k then increasing residue."""
-    return _format_key(_key(m._exp), _FactorTexts())
+    return _format_key(_key(m._exp.items()), _FactorTexts())
 
 
 def mult_a(m: Monomial, i: int, k: int, sign: int = 1) -> Monomial:

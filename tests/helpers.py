@@ -183,6 +183,58 @@ def oracle_partition_graph(n: int, depth: int, a):
     return vertices, edges
 
 
+def oracle_multipartition_counts(k: int, max_size: int) -> list[int]:
+    """Number of k-multipartitions (k-tuples of partitions) of each size:
+    the coefficients of prod over j >= 1 of 1/(1 - q^j)^k."""
+    c = [1] + [0] * max_size
+    for _ in range(k):
+        for j in range(1, max_size + 1):
+            for m in range(j, max_size + 1):
+                c[m] += c[m - j]
+    return c
+
+
+def oracle_weight_multiplicities(g) -> list[tuple]:
+    """Frenkel-Kac check of a crystal graph of the basic representation.
+
+    Every edge of color i adds one f_i, so a vertex reached from the root
+    has a content vector c, with c_i the f_i's on any path to it.  The
+    number of vertices with content c must be the number of
+    (n-1)-multipartitions of w = c_0 - (1/2) sum_i (c_i - c_(i+1))^2,
+    indices mod n (Kac, Infinite-dimensional Lie algebras, 12.13).  Reads
+    only the edge list, from the root.
+
+    Returns the disagreements: (content, vertices, expected) per class, and
+    ("unreached", count) when some vertex has no path from the root.
+    """
+    n = g.n
+    children = {}
+    for src, dst, color in g.edges:
+        children.setdefault(src, []).append((dst, color))
+    content = {g.root: (0,) * n}
+    queue = [g.root]
+    for v in queue:
+        for w, color in children.get(v, ()):
+            if w not in content:
+                c = list(content[v])
+                c[color] += 1
+                content[w] = tuple(c)
+                queue.append(w)
+    classes = {}
+    for c in content.values():
+        classes[c] = classes.get(c, 0) + 1
+    # the differences sum to 0, so their squares sum to an even number
+    w = {c: c[0] - sum((c[i] - c[(i + 1) % n]) ** 2 for i in range(n)) // 2
+         for c in classes}
+    counts = oracle_multipartition_counts(n - 1, max(w.values()))
+    bad = [(c, count, counts[w[c]] if w[c] >= 0 else 0)
+           for c, count in sorted(classes.items())
+           if w[c] < 0 or count != counts[w[c]]]
+    if len(content) != len(g.vertices):
+        bad.append(("unreached", len(g.vertices) - len(content)))
+    return bad
+
+
 def oracle_export_json(g) -> str:
     """The graph document through ``json.dumps(doc, indent=2)``."""
     doc = {

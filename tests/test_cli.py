@@ -2,23 +2,21 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import random
-import resource
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import affinecrystal._kernel_py as _kernel_py
+import affinecrystal.cli as cli
+import affinecrystal.graphs as graphs
 from affinecrystal import Partition, format_partition, graph_from_json
 from affinecrystal.arms import MAX_ARM_HORIZON, horizontal_value
 from affinecrystal.cli import main
-from helpers import oracle_arm, oracle_cells, oracle_hook
+from affinecrystal.partitions import MAX_PARTITION_SIZE
+from helpers import oracle_arm, oracle_cells, oracle_hook, oracle_regular_counts
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 BIG = "[11,7,4,2,1,1,1,1,1,1]"
 BIG_IMAGE = "Y(2,12)^-1*Y(2,10)*Y(1,9)^-1*Y(2,8)*Y(1,7)^-1*Y(1,5)*Y(3,5)"
 
@@ -181,6 +179,19 @@ class TestCompare:
         assert code == 0
         assert out.startswith("isomorphic (")
 
+    def test_builds_no_graph(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("compare built a graph")
+
+        for owner in (cli, graphs):
+            monkeypatch.setattr(owner, "generate_graph", refuse)
+        monkeypatch.setattr(graphs, "CrystalGraph", refuse)
+        for models in (("partition", "monomial", "--use-psi"), ("monomial", "partition"),
+                       ("partition", "partition"), ("monomial", "monomial")):
+            code, out, _ = run(capsys, "--n", "4", "compare", "--model", models[0],
+                               "--model2", models[1], *models[2:], "--depth", "10")
+            assert (code, out) == (0, "isomorphic (105 vertices)\n")
+
     def test_use_psi_needs_right_models(self, capsys):
         code, _, err = run(
             capsys, "--n", "3", "compare",
@@ -318,23 +329,68 @@ class TestUsage:
         assert out == ""
         assert err == f"error: {command[0]} output needs --format text\n"
 
-    def test_out_of_memory_exits_2(self):
-        # the column lengths of one row of 10^8 boxes need about 800 MB
-        def limit_memory():
-            cap = 400 * 2**20
-            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        # every input now has a ceiling below what fills memory, so the
+        # handler is reached by a command that raises MemoryError
+        def exhausted(args):
+            raise MemoryError
 
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
-        proc = subprocess.run(
-            [sys.executable, "-m", "affinecrystal.cli", "--n", "3",
-             "check", "[100000000]"],
-            preexec_fn=limit_memory, env=env, capture_output=True, text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: out of memory")
-        assert "Traceback" not in proc.stderr
+        monkeypatch.setitem(cli._HANDLERS, "check", exhausted)
+        code, out, err = run(capsys, "--n", "3", "check", "[3,1]")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: out of memory")
+        assert "Traceback" not in err
+
+
+class TestCeilings:
+    def test_huge_partition_refused_at_once(self, capsys, monkeypatch):
+        # refused when parsed: no column list is built
+        def refuse(*args):
+            raise AssertionError("columns read")
+
+        monkeypatch.setattr(_kernel_py, "columns", refuse)
+        for text in ("[100000000]", "[" + "9" * 5000 + "]",
+                     "[" + ",".join(["500000"] * 3) + "]"):
+            code, out, err = run(capsys, "--n", "3", "check", text)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and "ceiling" in err
+
+    def test_partition_at_the_ceiling(self, capsys):
+        code, out, _ = run(capsys, "--n", "3", "psi", f"[{MAX_PARTITION_SIZE}]")
+        assert code == 0 and out.startswith("Y(")
+        code, _, err = run(capsys, "--n", "3", "psi", f"[{MAX_PARTITION_SIZE},1]")
+        assert code == 2 and "ceiling" in err
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_depth_just_below_and_above(self, capsys, monkeypatch, n):
+        # a small ceiling, so the depth just below it runs in full
+        monkeypatch.setattr(graphs, "MAX_GRAPH_VERTICES", 300)
+        totals = [sum(oracle_regular_counts(n, d)) for d in range(40)]
+        above = next(d for d, t in enumerate(totals) if t > 300)
+        for depth, want in ((above - 1, 0), (above, 2)):
+            for argv in (["--format", "json", "graph", "--model", "monomial"],
+                         ["--format", "dot", "graph"],
+                         ["compare", "--model2", "monomial", "--use-psi"],
+                         ["--arm", "random:1:40", "compare", "--model2", "partition"]):
+                code, out, err = run(capsys, "--n", str(n), *argv, "--depth", str(depth))
+                assert code == want, (argv, depth, err)
+                if want == 0 and argv[0] == "compare":
+                    assert out == f"isomorphic ({totals[depth]} vertices)\n"
+                if want == 2:
+                    assert out == "" and "ceiling is 300" in err
+
+    def test_graph_depth_refused_before_bfs(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("BFS ran")
+
+        for name in ("_partition_bfs", "_monomial_bfs", "_walk"):
+            monkeypatch.setattr(graphs, name, refuse)
+        for argv in (["--format", "json", "graph"],
+                     ["--format", "json", "graph", "--model", "monomial"],
+                     ["compare", "--model2", "monomial", "--use-psi"]):
+            code, out, err = run(capsys, "--n", "3", *argv, "--depth", "100000")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: depth 100000 at rank 3 gives more than")
 
 
 # Each text is drawn half the time from well-formed tokens and half from an

@@ -4,11 +4,13 @@ import random
 import pytest
 
 import affinecrystal.graphs as graphs
+import affinecrystal.isomorphism as isomorphism
 from affinecrystal import (
     CrystalGraph,
     Monomial,
     Partition,
     compare_graphs,
+    compare_models,
     count_regular,
     e_m,
     e_up,
@@ -29,6 +31,7 @@ from affinecrystal import (
     unchecked_arm,
     validate_arm,
     weight,
+    y,
 )
 from affinecrystal._kernel_py import f_children, f_step
 from affinecrystal.errors import (
@@ -50,17 +53,9 @@ from helpers import (
     oracle_partition_graph,
     oracle_partitions,
     oracle_regular_counts,
+    oracle_weight_multiplicities,
     random_partition,
 )
-
-
-def psi_agree(n, partitions, monomials):
-    """Paired ids agree when the corner map takes one vertex to the other."""
-
-    def agree(v1, v2):
-        return partition_to_monomial(partitions[v1], n) == monomials[v2]
-
-    return agree
 
 
 class TestGeneration:
@@ -87,18 +82,16 @@ class TestGeneration:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_vertex_objects(self, n):
-        # the BFS runs on raw tuples and wraps them unchecked; every object
-        # it hands out, and every operator result on it, must pass the
-        # validating constructor
+        # the BFS runs on raw tuples; every vertex its label names must pass
+        # the validating constructor, as must every operator result on it,
+        # and each edge must lead where f_down does
         for a in (horizontal_arm(n), random_arm(n, 40, seed=n)):
-            objs = []
-            g = generate_graph("partition", n, 10, a, objects=objs)
+            g = generate_graph("partition", n, 10, a)
             out = g.out_edges()
-            assert len(objs) == len(g.vertices)
-            for k, lam in enumerate(objs):
+            for k, label in enumerate(g.vertices):
+                lam = parse_partition(label)
                 assert type(lam) is Partition
-                assert Partition(lam.parts) == lam
-                assert str(lam) == g.vertices[k]
+                assert str(lam) == label
                 for i in range(n):
                     down = f_down(lam, i, a)
                     for mu in (down, e_up(lam, i, a)):
@@ -106,7 +99,7 @@ class TestGeneration:
                             assert type(mu) is Partition
                             assert Partition(mu.parts) == mu
                     if i in out[k]:
-                        assert down == objs[out[k][i]]
+                        assert str(down) == g.vertices[out[k][i]]
 
     @pytest.mark.parametrize("depth", [-1, 2.5, True, "2", None])
     def test_depth_out_of_range(self, depth):
@@ -195,10 +188,8 @@ class TestPartitionBFS:
                 axiom_breaking_arm(n, 40, seed=n)]
         for a in arms:
             for depth in (0, 1, 5, 10):
-                objs = []
-                g = generate_graph("partition", n, depth, a, objects=objs)
+                g = generate_graph("partition", n, depth, a)
                 vertices, edges = oracle_partition_graph(n, depth, a)
-                assert objs == vertices
                 assert g.vertices == [format_partition(lam) for lam in vertices]
                 assert g.edges == edges
 
@@ -278,19 +269,24 @@ class TestMonomialBFS:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_vertex_objects(self, n):
-        # objects wrap the BFS's own dicts unchecked; each must equal the
-        # monomial its label parses to, hash included, and lower like it
-        objs = []
-        g = generate_graph("monomial", n, 10, objects=objs)
+        # the lowering step both the BFS and the walk run: on the frozenset
+        # of a vertex's canonical items it gives, per color, the canonical
+        # items of f_m, and the edge of that color leads to their label
+        g = generate_graph("monomial", n, 10)
         out = g.out_edges()
-        assert len(objs) == len(g.vertices)
-        for v, m in enumerate(objs):
-            assert type(m) is Monomial
-            parsed = parse_monomial(g.vertices[v], n)
-            assert m == parsed and hash(m) == hash(parsed)
-            assert format_monomial(m) == g.vertices[v]
-            for i, w in out[v].items():
-                assert f_m(m, i) == objs[w]
+        for v, label in enumerate(g.vertices):
+            m = parse_monomial(label, n)
+            children = graphs._monomial_children(frozenset(m._exp.items()), n)
+            for i, child in enumerate(children):
+                down = f_m(m, i)
+                if child is None:
+                    assert down is None
+                    continue
+                got = Monomial(n, dict(child))
+                assert dict(child) == got._exp
+                assert got == down and hash(got) == hash(down)
+                if i in out[v]:
+                    assert format_monomial(got) == g.vertices[out[v][i]]
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_sorts_each_vertex_once(self, n, monkeypatch):
@@ -304,43 +300,68 @@ class TestMonomialBFS:
             return original(exp)
 
         monkeypatch.setattr(graphs, "_key", key)
-        objs = []
-        g = generate_graph("monomial", n, 12, objects=objs)
+        g = generate_graph("monomial", n, 12)
         assert len(calls) == 1 + (len(g.vertices) - 1)
-        assert objs == [parse_monomial(label, n) for label in g.vertices]
 
 
 class TestComparison:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    def test_psi_bijection(self, n):
+    def test_psi_bijection(self, n, monkeypatch):
+        # the walk calls the corner map once for every vertex, root
+        # included, looked up on the isomorphism module at call time
         depth = 12
-        partitions, monomials = [], []
-        g1 = generate_graph("partition", n, depth, None, partitions)
-        g2 = generate_graph("monomial", n, depth, None, monomials)
-        assert [format_partition(lam) for lam in partitions] == g1.vertices
-        assert [format_monomial(m) for m in monomials] == g2.vertices
+        g1 = generate_graph("partition", n, depth)
+        g2 = generate_graph("monomial", n, depth)
         checked = []
-        corner_map_agrees = psi_agree(n, partitions, monomials)
+        original = isomorphism.partition_to_monomial
 
-        def agree(v1, v2):
-            checked.append(v1)
-            return corner_map_agrees(v1, v2)
+        def corner_map(lam, rank):
+            checked.append(format_partition(lam))
+            return original(lam, rank)
 
-        result = compare_graphs(g1, g2, agree)
+        monkeypatch.setattr(isomorphism, "partition_to_monomial", corner_map)
+        vertices, mismatch = compare_models(
+            n, depth, "partition", "monomial", use_psi=True
+        )
+        assert mismatch is None
+        assert vertices == len(g1.vertices) == len(g2.vertices)
+        assert checked == g1.vertices
+        result = compare_graphs(g1, g2)
         assert result.isomorphic, result.mismatch
-        assert len(result.bijection) == len(g1.vertices) == len(g2.vertices)
-        assert sorted(checked) == list(range(len(g1.vertices)))
+        assert len(result.bijection) == len(g1.vertices)
 
-    def test_psi_disagreement_witnessed(self):
+    def test_psi_disagreement_witnessed(self, monkeypatch):
+        # the corner map sends the last vertex of depth 5 to the root's image
         n = 4
-        partitions, monomials = [], []
-        g1 = generate_graph("partition", n, 5, None, partitions)
-        g2 = generate_graph("monomial", n, 5, None, monomials)
-        last = len(monomials) - 1
-        monomials[last] = monomials[0]
-        result = compare_graphs(g1, g2, psi_agree(n, partitions, monomials))
-        assert result.mismatch.kind == "label-mismatch"
-        assert result.mismatch.vertex2 == last
+        g1 = generate_graph("partition", n, 5)
+        last = len(g1.vertices) - 1
+        original = isomorphism.partition_to_monomial
+
+        def corner_map(lam, rank):
+            if format_partition(lam) == g1.vertices[last]:
+                lam = Partition()
+            return original(lam, rank)
+
+        monkeypatch.setattr(isomorphism, "partition_to_monomial", corner_map)
+        _, mismatch = compare_models(n, 5, "partition", "monomial", use_psi=True)
+        assert mismatch.kind == "label-mismatch"
+        assert mismatch.vertex1 == mismatch.vertex2 == last
+        g2 = generate_graph("monomial", n, 5)
+        assert mismatch.detail == (
+            f"{g1.vertices[last]!r} does not correspond to {g2.vertices[last]!r}"
+        )
+
+    def test_label_mismatch_witnessed(self, monkeypatch):
+        # a corner map that is wrong everywhere fails at the root pair
+        monkeypatch.setattr(
+            isomorphism, "partition_to_monomial", lambda lam, n: y(n, 1, 0)
+        )
+        _, mismatch = compare_models(3, 3, "partition", "monomial", use_psi=True)
+        assert mismatch.kind == "label-mismatch"
+        assert mismatch.vertex1 == mismatch.vertex2 == 0
+        assert str(mismatch) == (
+            "label-mismatch at v0/v0: '[]' does not correspond to 'Y(0,0)'"
+        )
 
     def test_two_random_arms_structurally_equal(self):
         n, depth = 3, 8
@@ -356,16 +377,6 @@ class TestComparison:
         assert not result.isomorphic
         assert result.mismatch.kind == "edge-presence"
         assert result.mismatch.color == dropped[2]
-
-    def test_label_mismatch_witnessed(self):
-        g1 = generate_graph("partition", 3, 3)
-        g2 = generate_graph("monomial", 3, 3)
-        result = compare_graphs(
-            g1, g2, lambda v1, v2: g1.vertices[v1] == g2.vertices[v2]
-        )
-        assert not result.isomorphic
-        assert result.mismatch.kind == "label-mismatch"
-        assert result.mismatch.vertex1 == g1.root
 
     def test_inconsistent_pairing_witnessed(self):
         # both colors lead to one vertex of g2 but to two of g1
@@ -401,6 +412,181 @@ class TestComparison:
             compare_graphs(
                 generate_graph("partition", 3, 2), generate_graph("partition", 4, 2)
             )
+
+
+class TestWalk:
+    """The model walk against compare_graphs on the two generated graphs."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_same_verdict_as_compare_graphs(self, n):
+        # axiom-breaking tables only diverge once hooks reach n t for a bad
+        # t, so the depth grows with n; every pair has a valid side
+        depth = n + 7
+        valid = [("partition", horizontal_arm(n)),
+                 ("partition", random_arm(n, 40, seed=n)), ("monomial", None)]
+        breaking = [("partition", axiom_breaking_arm(n, 40, seed))
+                    for seed in range(n, n + 40, 3)]
+        graphs_of = {}
+
+        def graph(model, a):
+            key = id(a)
+            if key not in graphs_of:
+                graphs_of[key] = generate_graph(
+                    model, n, depth, a if model == "partition" else None)
+            return graphs_of[key]
+
+        mismatches = 0
+        for side1 in valid + breaking:
+            for side2 in valid + (breaking if side1 in valid else []):
+                (model1, a1), (model2, a2) = side1, side2
+                vertices, mismatch = compare_models(n, depth, model1, model2, a1, a2)
+                result = compare_graphs(graph(*side1), graph(*side2))
+                if result.isomorphic:
+                    assert mismatch is None
+                    assert vertices == len(result.bijection)
+                else:
+                    # kind, ids, color and detail
+                    assert str(mismatch) == str(result.mismatch)
+                    mismatches += 1
+        assert mismatches > 0
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_psi_mismatch_is_first_in_id_order(self, n):
+        # under a valid non-horizontal arm the graphs are isomorphic but the
+        # corner map fails; the walk reports the first failing pair in id
+        # order, reached by the color of its first in-edge
+        depth = n + 7
+        g2 = generate_graph("monomial", n, depth)
+        first_edge = {}
+        for src, dst, color in g2.edges:
+            first_edge.setdefault(dst, color)
+        failures = 0
+        arms = [horizontal_arm(n)] + [random_arm(n, 40, seed) for seed in range(n, n + 4)]
+        for a in arms:
+            g1 = generate_graph("partition", n, depth, a)
+            bijection = compare_graphs(g1, g2).bijection
+            assert bijection == {v: v for v in range(len(g1.vertices))}
+            bad = [v for v in range(len(g1.vertices))
+                   if partition_to_monomial(parse_partition(g1.vertices[v]), n)
+                   != parse_monomial(g2.vertices[v], n)]
+            vertices, mismatch = compare_models(n, depth, "partition", "monomial", a,
+                                                use_psi=True)
+            if not bad:
+                assert mismatch is None and vertices == len(g1.vertices)
+                continue
+            failures += 1
+            assert (mismatch.kind, mismatch.vertex1, mismatch.vertex2) == (
+                "label-mismatch", bad[0], bad[0])
+            assert mismatch.color == first_edge.get(bad[0])
+        assert failures > 0
+
+    def test_documented_pairing_conflict(self):
+        a = unchecked_arm(3, [0, 5, 1, 9, 2, 7])
+        want = ("inconsistent-pairing at v17/v18 color 0: "
+                "conflicts with an earlier pairing")
+        _, mismatch = compare_models(3, 12, "partition", "partition", a)
+        assert str(mismatch) == want
+        result = compare_graphs(generate_graph("partition", 3, 12, a),
+                                generate_graph("partition", 3, 12))
+        assert str(result.mismatch) == want
+
+    def test_builds_no_graph(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the walk built a graph")
+
+        for name in ("generate_graph", "_partition_bfs", "_monomial_bfs", "CrystalGraph"):
+            monkeypatch.setattr(graphs, name, refuse)
+        for model1 in ("partition", "monomial"):
+            for model2 in ("partition", "monomial"):
+                assert compare_models(4, 6, model1, model2)[1] is None
+
+    def test_rank_and_model_guards(self):
+        with pytest.raises(RankMismatch):
+            compare_models(4, 2, "partition", "partition", horizontal_arm(3))
+        with pytest.raises(UnknownChoice):
+            compare_models(3, 2, "partition", "tableau")
+        # the corner map goes from the partition model to the monomial one
+        for models in (("monomial", "partition"), ("partition", "partition")):
+            with pytest.raises(UnknownChoice):
+                compare_models(3, 2, *models, use_psi=True)
+
+
+class TestWeightMultiplicities:
+    """Frenkel-Kac weight multiplicities, from the edges alone."""
+
+    @pytest.mark.parametrize("n, depth", [(3, 18), (4, 14), (5, 12), (6, 11), (7, 10)])
+    def test_both_models_and_a_random_arm(self, n, depth):
+        for g in (generate_graph("partition", n, depth),
+                  generate_graph("monomial", n, depth),
+                  generate_graph("partition", n, depth, random_arm(n, 40, seed=n))):
+            assert oracle_weight_multiplicities(g) == []
+
+    @pytest.mark.parametrize("model", ["partition", "monomial"])
+    def test_dropped_or_duplicated_vertex_fails(self, model):
+        g = generate_graph(model, 4, 8)
+        for v in (1, len(g.vertices) // 2, len(g.vertices) - 1):
+            # drop v: its in-edges go, and v's last id is reused by nothing
+            dropped = CrystalGraph(g.model, g.n, g.depth, g.arm, g.vertices[:],
+                                   [e for e in g.edges if v not in e[:2]])
+            assert oracle_weight_multiplicities(dropped) != []
+            # duplicate v: a copy reached by the same edge as v
+            edge = next(e for e in g.edges if e[1] == v)
+            copy = CrystalGraph(g.model, g.n, g.depth, g.arm, g.vertices + [g.vertices[v]],
+                                g.edges + [(edge[0], len(g.vertices), edge[2])])
+            assert oracle_weight_multiplicities(copy) != []
+
+
+class TestCeilings:
+    def test_ceiling_depth_covers_every_rank(self):
+        # n = 3 has the fewest vertices at every depth, so the series never
+        # needs more than _CEILING_DEPTH terms
+        cap = graphs._CEILING_DEPTH
+        assert sum(oracle_regular_counts(3, cap - 1)) <= graphs.MAX_GRAPH_VERTICES
+        for n in range(3, 13):
+            counts = oracle_regular_counts(n, cap)
+            assert sum(counts) > graphs.MAX_GRAPH_VERTICES
+            if n > 3:
+                previous = oracle_regular_counts(n - 1, cap)
+                assert all(c >= p for c, p in zip(counts, previous))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 10])
+    def test_refused_before_any_bfs(self, n, monkeypatch):
+        # the first depth above the ceiling, and every larger one, is
+        # refused without walking; the depth below reaches the BFS
+        totals = [sum(oracle_regular_counts(n, d)) for d in range(graphs._CEILING_DEPTH + 1)]
+        above = next(d for d, t in enumerate(totals) if t > graphs.MAX_GRAPH_VERTICES)
+
+        class Walked(Exception):
+            pass
+
+        def walked(*args, **kwargs):
+            raise Walked
+
+        for name in ("_partition_bfs", "_monomial_bfs", "_walk"):
+            monkeypatch.setattr(graphs, name, walked)
+        for depth in (above, above + 1, 10**9):
+            for model in ("partition", "monomial"):
+                with pytest.raises(BoundOutOfRange, match="ceiling"):
+                    generate_graph(model, n, depth)
+            with pytest.raises(BoundOutOfRange, match="ceiling"):
+                compare_models(n, depth, "partition", "monomial", use_psi=True)
+        for model in ("partition", "monomial"):
+            with pytest.raises(Walked):
+                generate_graph(model, n, above - 1)
+        with pytest.raises(Walked):
+            compare_models(n, above - 1, "partition", "monomial")
+
+    def test_backstop_per_level(self, monkeypatch):
+        # with the closed form skipped, a BFS or a walk that passes the
+        # ceiling stops at the end of that level
+        monkeypatch.setattr(graphs, "_check_graph_size", lambda n, depth: None)
+        monkeypatch.setattr(graphs, "MAX_GRAPH_VERTICES", 50)
+        a = axiom_breaking_arm(4, 40, seed=4)
+        for run in (lambda: generate_graph("partition", 4, 12, a),
+                    lambda: compare_models(4, 12, "partition", "partition", a, a)):
+            with pytest.raises(BoundOutOfRange, match="ceiling is 50"):
+                run()
+        assert len(generate_graph("monomial", 4, 12).vertices) > 50
 
 
 class TestCounting:

@@ -2,12 +2,15 @@
 removed attribute should fail here, not only in the benchmark."""
 
 import ast
+import contextlib
 import importlib
+import io
 import os
 import types
 
 import affinecrystal
 import affinecrystal._backend as _backend
+import affinecrystal.cli as cli
 import affinecrystal.graphs as graphs
 import affinecrystal.partition_crystal as partition_crystal
 
@@ -65,12 +68,10 @@ def test_tracer_leaves_graphs_unchanged(monkeypatch):
     monkeypatch.syspath_prepend(REPO_ROOT)
     tracing = importlib.import_module("perfbench.tracing")
     for model in ("partition", "monomial"):
-        plain_objects, traced_objects = [], []
-        plain = graphs.generate_graph(model, 4, 6, objects=plain_objects)
+        plain = graphs.generate_graph(model, 4, 6)
         with tracing.installed(tracing.Tracer(), affinecrystal):
-            traced = graphs.generate_graph(model, 4, 6, objects=traced_objects)
+            traced = graphs.generate_graph(model, 4, 6)
         assert traced == plain
-        assert traced_objects == plain_objects
 
 
 def test_tracer_bindings_match_patches(monkeypatch):
@@ -93,3 +94,18 @@ def test_tracer_bindings_match_patches(monkeypatch):
                tracing._patches(tracing.Tracer(), affinecrystal)
                if owner is graphs}
     assert marked == patched
+
+
+def test_tracer_counts_one_corner_map_per_vertex(monkeypatch):
+    # compare --use-psi checks every pair through isomorphism's binding,
+    # which the tracer wraps as isomorphism.psi; it builds no graph
+    monkeypatch.syspath_prepend(REPO_ROOT)
+    tracing = importlib.import_module("perfbench.tracing")
+    tracer = tracing.Tracer()
+    out = io.StringIO()
+    with tracing.installed(tracer, affinecrystal), contextlib.redirect_stdout(out):
+        code = cli.main(["--n", "4", "compare", "--model", "partition",
+                         "--model2", "monomial", "--depth", "10", "--use-psi"])
+    assert (code, out.getvalue()) == (0, "isomorphic (105 vertices)\n")
+    assert tracer.calls["isomorphism.psi"] == 105
+    assert tracer.calls["graphs.generate"] == tracer.calls["graphs.compare"] == 0
