@@ -28,7 +28,7 @@ class RankTooSmall(CrystalError, ValueError):
 
 
 class BoundOutOfRange(CrystalError, ValueError):
-    """A depth, size, horizon or index is below its smallest allowed value."""
+    """A depth, size, horizon, index or number is outside its allowed range."""
 
 
 class UnknownChoice(CrystalError, ValueError):

@@ -26,7 +26,6 @@ from .monomial_crystal import (
     _FactorTexts,
     _format_key,
     _key,
-    _mult_a_exp,
     _phi_q,
 )
 from .partitions import _format_parts, _trusted, check_rank
@@ -54,9 +53,6 @@ MAX_GRAPH_VERTICES = 500_000
 # so n = 3 has the fewest vertices at every depth; it passes the ceiling at
 # depth 58, and the vertex count never needs more terms
 _CEILING_DEPTH = 58
-
-# the monomial Y(0,0) as the frozenset of its canonical exponent items
-_MONOMIAL_ROOT = frozenset({((0, 0), 1)})
 
 
 @dataclass
@@ -129,8 +125,9 @@ def generate_graph(
     lowering edge among them.
 
     The partition BFS runs on raw part tuples and gets all n children of a
-    vertex from one ``f_children`` call.  The monomial BFS runs on
-    :func:`_monomial_children` and sorts only a new child into its label.
+    vertex from one ``f_children`` call.  The monomial BFS runs on tuples
+    of per-residue terms, lowered by :func:`_monomial_step`, and sorts only
+    a new child into its label.
     """
     check_rank(n)
     _check_graph_size(n, depth)
@@ -182,29 +179,73 @@ def _partition_bfs(n, depth, table):
     return vertices, edges
 
 
-def _monomial_children(items, n):
-    """[f_0(m), ..., f_(n-1)(m)] in analytic mode, None where f_i
-    annihilates; m and each child are frozensets of canonical exponent
-    items.  One grouping by residue serves every color."""
-    exp = dict(items)
-    terms = [[] for _ in range(n)]
-    for (i, k), u in items:
-        terms[i].append((k, u))
-    children = []
-    for i, residue_terms in enumerate(terms):
-        residue_terms.sort()
-        q = _phi_q(residue_terms)[1]
-        child = None
-        if q is not None:
-            child = dict(exp)
-            _mult_a_exp(child, n, i, q + 1, -1)
-            child = frozenset(child.items())
-        children.append(child)
+def _bump(terms, k, u):
+    """One residue's (k, u) terms, by increasing k, times Y(., k)^u; a term
+    that reaches exponent 0 is dropped."""
+    for pos, (kk, uu) in enumerate(terms):
+        if kk < k:
+            continue
+        if kk > k:
+            return terms[:pos] + ((k, u),) + terms[pos:]
+        if uu + u:
+            return terms[:pos] + ((k, uu + u),) + terms[pos + 1:]
+        return terms[:pos] + terms[pos + 1:]
+    return terms + ((k, u),)
+
+
+def _monomial_root(n):
+    """Y(0,0) as a monomial vertex: residue i holds its (k, u) terms by
+    increasing k."""
+    return (((0, 1),),) + ((),) * (n - 1)
+
+
+def _monomial_items(v):
+    """The canonical exponent items ((i, k), u) of the monomial vertex v."""
+    return [((i, k), u) for i, terms in enumerate(v) for k, u in terms]
+
+
+def _monomial_step(n):
+    """``children(v)``: [f_0(v), ..., f_(n-1)(v)] in analytic mode on
+    monomial vertices, None where f_i annihilates.
+
+    f_i multiplies by A(i, q + 1)^-1, which changes residues i and i +- 1
+    only, so a child shares the other residues' tuples with v.  Two memos,
+    living as long as the returned closure, give each residue's part:
+    ``lowered[terms]`` is None or (q + 1, terms Y(i,q)^-1 Y(i,q+2)^-1), and
+    ``raised[terms, k]`` is terms Y(j,k).
+    """
+    lowered = {}
+    raised = {}
+    neighbours = [((i + 1) % n, (i - 1) % n) for i in range(n)]
+
+    def children(v):
+        out = []
+        for i, terms in enumerate(v):
+            try:
+                low = lowered[terms]
+            except KeyError:
+                q = _phi_q(terms)[1]
+                low = lowered[terms] = (
+                    None if q is None else (q + 1, _bump(_bump(terms, q, -1), q + 2, -1)))
+            if low is None:
+                out.append(None)
+                continue
+            child = list(v)
+            k, child[i] = low
+            for j in neighbours[i]:
+                key = (v[j], k)
+                up = raised.get(key)
+                if up is None:
+                    up = raised[key] = _bump(v[j], k, 1)
+                child[j] = up
+            out.append(tuple(child))
+        return out
+
     return children
 
 
 def _monomial_bfs(n, depth):
-    """BFS over :func:`_monomial_children`.
+    """BFS over :func:`_monomial_step`.
 
     f_i multiplies by some A(i,k)^-1, which lowers sum(u k^2) over the
     factors by 2, so a monomial's depth is -sum(u k^2) / 2.  A child can
@@ -213,21 +254,23 @@ def _monomial_bfs(n, depth):
     which gives its label.
     """
     texts = _FactorTexts()
-    vertices = [_format_key(_key(_MONOMIAL_ROOT), texts)]
+    children = _monomial_step(n)
+    root = _monomial_root(n)
+    vertices = [_format_key(_key(_monomial_items(root)), texts)]
     edges: list[tuple[int, int, int]] = []
-    frontier = [_MONOMIAL_ROOT]
+    frontier = [root]
     first = 0  # id of frontier[0]; each level's ids are consecutive
     for _ in range(depth):
         nxt = []
         ids = {}
         for src, v in enumerate(frontier, first):
-            for i, w in enumerate(_monomial_children(v, n)):
+            for i, w in enumerate(children(v)):
                 if w is None:
                     continue
                 dst = ids.get(w)
                 if dst is None:
                     dst = ids[w] = len(vertices)
-                    vertices.append(_format_key(_key(w), texts))
+                    vertices.append(_format_key(_key(_monomial_items(w)), texts))
                     nxt.append(w)
                 edges.append((src, dst, i))
         first += len(frontier)
@@ -307,7 +350,7 @@ def _model_side(model, n, a):
         table, f_children = _partition_arm(n, a).values, _backend.kernel.f_children
         return (), lambda parts: f_children(parts, n, table)
     if model == MONOMIAL_MODEL:
-        return _MONOMIAL_ROOT, lambda items: _monomial_children(items, n)
+        return _monomial_root(n), _monomial_step(n)
     raise UnknownChoice(f"unknown model {model!r}")
 
 
@@ -329,7 +372,8 @@ def compare_models(n, depth, model1, model2, a1=None, a2=None, use_psi=False):
             raise UnknownChoice("use_psi needs the partition model, then the monomial one")
         texts = _FactorTexts()
 
-        def check(parts, items):
+        def check(parts, v):
+            items = _monomial_items(v)
             # looked up at call time, so a profiler or a test can wrap it
             if isomorphism.partition_to_monomial(_trusted(parts), n) == _canonical(n, dict(items)):
                 return None

@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 from .brackets import CLOSE, OPEN, BracketString
 from .errors import (
+    BoundOutOfRange,
     CompatibilityUndefinedForOddN,
     ParseError,
     RankMismatch,
@@ -168,9 +169,37 @@ def one(n: int) -> Monomial:
 
 _TERM_RE = re.compile(r"Y\((\d+),(-?\d+)\)(?:\^(-?\d+))?\Z")
 
+# largest |k| and |exponent| parse_monomial accepts.  Bracket mode spends
+# one token per exponent unit, so this matches the partition size ceiling
+MAX_MONOMIAL_NUMBER = 1_000_000
+
+
+def _number(text: str, what: str) -> int:
+    """int(text) for a k or an exponent, BoundOutOfRange above the ceiling.
+
+    The digits are counted before int() runs, so a number too long for
+    int() fails like any other above the ceiling."""
+    digits = text.lstrip("-").lstrip("0")
+    if len(digits) > len(str(MAX_MONOMIAL_NUMBER)):
+        raise BoundOutOfRange(
+            f"{what} has {len(digits)} digits; the ceiling is {MAX_MONOMIAL_NUMBER}"
+        )
+    value = int(digits or "0")
+    if text.startswith("-"):
+        value = -value
+    if abs(value) > MAX_MONOMIAL_NUMBER:
+        raise BoundOutOfRange(
+            f"{what} {value} is above the ceiling of {MAX_MONOMIAL_NUMBER} in absolute value"
+        )
+    return value
+
 
 def parse_monomial(text: str, n: int) -> Monomial:
-    """Parse ``Y(i,k)`` factors joined by ``*``; ``1`` is the empty product."""
+    """Parse ``Y(i,k)`` factors joined by ``*``; ``1`` is the empty product.
+
+    A k or an exponent above MAX_MONOMIAL_NUMBER in absolute value raises
+    BoundOutOfRange.
+    """
     check_rank(n)
     text = text.strip()
     if text == "1":
@@ -182,10 +211,18 @@ def parse_monomial(text: str, n: int) -> Monomial:
         m = _TERM_RE.match(term)
         if m is None:
             raise ParseError(f"bad monomial factor {term!r}")
-        i, k = int(m.group(1)), int(m.group(2))
+        residue_digits = m.group(1).lstrip("0") or "0"
+        try:
+            i = int(residue_digits)
+        except ValueError:
+            # the residue is digits, so int() refused it for its length
+            raise ResidueOutOfRange(
+                f"residue of {len(residue_digits)} digits outside [0, {n})"
+            ) from None
         if not 0 <= i < n:
             raise ResidueOutOfRange(f"residue {i} outside [0, {n})")
-        u = 1 if m.group(3) is None else int(m.group(3))
+        k = _number(m.group(2), "k")
+        u = 1 if m.group(3) is None else _number(m.group(3), "exponent")
         if u == 0:
             raise ZeroExponent(f"factor {term!r} has exponent 0")
         exp[(i, k)] = exp.get((i, k), 0) + u

@@ -361,3 +361,22 @@ def cancel_matching_slot_pairs(tokens):
                 changed = True
                 break
     return out, removed
+
+
+def oracle_valid_tables(n: int, horizon: int) -> list[tuple[int, ...]]:
+    """Every table A_1..A_horizon obeying both arm axioms, in lexicographic order.
+
+    Built from the axioms alone: A_t lies in [t - 1, (n - 1) t] and, for
+    each split t = s + (t - s), in [A_s + A_(t-s), A_s + A_(t-s) + 1].
+    Axiom (ii) only relates values up to t, so every valid table extends
+    a valid table one shorter.
+    """
+    tables = [()]
+    for t in range(1, horizon + 1):
+        tables = [
+            table + (value,)
+            for table in tables
+            for value in range(t - 1, (n - 1) * t + 1)
+            if all(value - table[s - 1] - table[t - s - 1] in (0, 1) for s in range(1, t))
+        ]
+    return tables

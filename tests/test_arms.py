@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,8 @@ from affinecrystal import (
     arm_from_descriptor,
     arm_from_file,
     arm_from_values,
+    compare_models,
+    count_regular,
     horizontal_arm,
     is_illegal_box,
     is_regular,
@@ -36,6 +39,8 @@ from helpers import (
     oracle_hook,
     oracle_is_regular,
     oracle_partitions,
+    oracle_regular_counts,
+    oracle_valid_tables,
 )
 
 BIG = parse_partition("[11,7,4,2,1,1,1,1,1,1]")
@@ -120,6 +125,44 @@ class TestTables:
         raw = unchecked_arm(3, (1, 2))
         with pytest.raises(HorizonExceedsTable):
             validate_arm(raw, 3)
+
+
+class TestEveryValidTable:
+    """The paper's "any arm sequence works", on every valid table up to
+    horizon 4 rather than on random draws."""
+
+    def test_counts(self):
+        assert [len(oracle_valid_tables(3, h)) for h in range(1, 5)] == [3, 4, 6, 8]
+        assert [len(oracle_valid_tables(6, h)) for h in range(1, 5)] == [6, 10, 18, 26]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_validate_arm_accepts_exactly_these(self, n):
+        horizon = 4
+        box = list(itertools.product(*(range(t - 1, (n - 1) * t + 1)
+                                       for t in range(1, horizon + 1))))
+        if n == 3:
+            assert len(box) == 360
+        accepted = [table for table in box
+                    if validate_arm(unchecked_arm(n, table), horizon) == []]
+        assert accepted == oracle_valid_tables(n, horizon)
+        for seed in range(5):
+            assert random_arm(n, horizon, seed).values in accepted
+
+    def test_every_table_gives_the_crystal(self):
+        # the walk against the horizontal arm reaches every hook up to 12,
+        # and the count every hook up to 24, so each A_t with t <= 4 is
+        # read at every rank
+        for n in range(3, 7):
+            for horizon in range(1, 5):
+                top = n * (horizon + 1) - 1  # the largest hook the table covers
+                depth, size = min(top, 12), min(top, 24)
+                for table in oracle_valid_tables(n, horizon):
+                    a = unchecked_arm(n, table)
+                    vertices, mismatch = compare_models(
+                        n, depth, "partition", "partition", a, horizontal_arm(n))
+                    assert mismatch is None, (table, str(mismatch))
+                    assert vertices == sum(oracle_regular_counts(n, depth))
+                    assert count_regular(n, a, size) == oracle_regular_counts(n, size)
 
 
 class TestRandomArm:

@@ -14,6 +14,7 @@ import affinecrystal.graphs as graphs
 from affinecrystal import Partition, format_partition, graph_from_json
 from affinecrystal.arms import MAX_ARM_HORIZON, horizontal_value
 from affinecrystal.cli import main
+from affinecrystal.monomial_crystal import MAX_MONOMIAL_NUMBER
 from affinecrystal.partitions import MAX_PARTITION_SIZE
 from helpers import oracle_arm, oracle_cells, oracle_hook, oracle_regular_counts
 
@@ -360,6 +361,32 @@ class TestCeilings:
         assert code == 0 and out.startswith("Y(")
         code, _, err = run(capsys, "--n", "3", "psi", f"[{MAX_PARTITION_SIZE},1]")
         assert code == 2 and "ceiling" in err
+
+    def test_huge_monomial_number_refused_at_once(self, capsys, monkeypatch):
+        # refused when parsed, with exit 2 and no traceback, even where
+        # int() would refuse the digits
+        def refuse(*args):
+            raise AssertionError("operator ran")
+
+        monkeypatch.setattr(cli, "f_m", refuse)
+        nines = "9" * 5000
+        for text in (f"Y(0,{nines})", f"Y(0,-{nines})", f"Y(0,1)^{nines}",
+                     f"Y(1,2)*Y(0,1)^-{nines}", f"Y({nines},1)",
+                     f"Y(0,{MAX_MONOMIAL_NUMBER + 1})",
+                     f"Y(0,0)^-{MAX_MONOMIAL_NUMBER + 1}"):
+            code, out, err = run(capsys, "--n", "3", "apply", text, "f0")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "ceiling" in err or "residue" in err
+
+    def test_monomial_at_the_ceiling(self, capsys):
+        # leading zeros do not count towards the digits
+        zeros = "0" * 5000
+        for text in (f"Y(0,-{MAX_MONOMIAL_NUMBER})^{MAX_MONOMIAL_NUMBER}",
+                     f"Y(0,{zeros}{MAX_MONOMIAL_NUMBER})^-{zeros}1",
+                     f"Y({zeros}1,-{zeros}2)"):
+            code, out, err = run(capsys, "--n", "3", "apply", text, "e0")
+            assert code == 0 and err == "" and out.strip()
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_depth_just_below_and_above(self, capsys, monkeypatch, n):

@@ -7,7 +7,6 @@ import affinecrystal.graphs as graphs
 import affinecrystal.isomorphism as isomorphism
 from affinecrystal import (
     CrystalGraph,
-    Monomial,
     Partition,
     compare_graphs,
     compare_models,
@@ -230,12 +229,18 @@ class TestPartitionBFS:
         assert raised > 0
 
 
+def residue_form(m):
+    """The monomial vertex of ``m``: per residue, its (k, u) terms by increasing k."""
+    return tuple(tuple(sorted((k, u) for (j, k), u in m._exp.items() if j == i))
+                 for i in range(m.n))
+
+
 def square_moment(m):
     return sum(u * k * k for (_, k), u in m.factors())
 
 
 class TestMonomialBFS:
-    """The monomial BFS runs on canonical keys, apart from ``f_m``."""
+    """The monomial BFS runs on per-residue term tuples, apart from ``f_m``."""
 
     @pytest.mark.parametrize("mode", ["analytic", "bracket"])
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
@@ -269,24 +274,66 @@ class TestMonomialBFS:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_vertex_objects(self, n):
-        # the lowering step both the BFS and the walk run: on the frozenset
-        # of a vertex's canonical items it gives, per color, the canonical
-        # items of f_m, and the edge of that color leads to their label
+        # the lowering step both the BFS and the walk run: on a vertex's
+        # per-residue terms it gives, per color, the canonical items of
+        # f_m, and the edge of that color leads to their label
         g = generate_graph("monomial", n, 10)
         out = g.out_edges()
+        children = graphs._monomial_step(n)
+        assert residue_form(parse_monomial(g.vertices[0], n)) == graphs._monomial_root(n)
         for v, label in enumerate(g.vertices):
             m = parse_monomial(label, n)
-            children = graphs._monomial_children(frozenset(m._exp.items()), n)
-            for i, child in enumerate(children):
+            for i, child in enumerate(children(residue_form(m))):
                 down = f_m(m, i)
                 if child is None:
                     assert down is None
                     continue
-                got = Monomial(n, dict(child))
-                assert dict(child) == got._exp
-                assert got == down and hash(got) == hash(down)
+                assert dict(graphs._monomial_items(child)) == down._exp
+                assert child == residue_form(down)
                 if i in out[v]:
-                    assert format_monomial(got) == g.vertices[out[v][i]]
+                    assert format_monomial(down) == g.vertices[out[v][i]]
+
+    def test_bump_matches_dict_arithmetic(self):
+        rng = random.Random(12)
+        cases = [((), 3, 1), ((), -2, -1), (((0, 1),), 0, -1), (((0, 1),), 0, 2),
+                 (((1, 1), (4, -2)), 0, 1), (((1, 1), (4, -2)), 2, -1),
+                 (((1, 1), (4, -2)), 5, 1), (((1, 1), (4, -2)), 4, 2),
+                 (((1, 1), (4, -2)), 1, -1)]
+        for _ in range(2000):
+            ks = sorted(rng.sample(range(-6, 7), rng.randrange(5)))
+            terms = tuple((k, rng.choice([-2, -1, 1, 2])) for k in ks)
+            cases.append((terms, rng.randrange(-7, 8), rng.choice([-2, -1, 1, 2])))
+        places = set()
+        for terms, k, u in cases:
+            exp = dict(terms)
+            exp[k] = exp.get(k, 0) + u
+            want = tuple(sorted((kk, uu) for kk, uu in exp.items() if uu))
+            assert graphs._bump(terms, k, u) == want
+            ks = [kk for kk, _ in terms]
+            places.add("empty" if not terms else "cancel" if exp[k] == 0
+                       else "front" if k < ks[0] else "end" if k > ks[-1]
+                       else "existing" if k in ks else "middle")
+        assert places == {"empty", "cancel", "front", "end", "existing", "middle"}
+
+    def test_memos_live_one_call(self, monkeypatch):
+        # each generate_graph and compare_models call starts with empty
+        # memos, so a second call lowers every residue anew
+        calls = []
+        original = graphs._phi_q
+
+        def phi_q(terms):
+            calls.append(1)
+            return original(terms)
+
+        monkeypatch.setattr(graphs, "_phi_q", phi_q)
+        for run in (lambda: generate_graph("monomial", 4, 12),
+                    lambda: compare_models(4, 12, "partition", "monomial", use_psi=True)):
+            counts = []
+            for _ in range(2):
+                calls.clear()
+                run()
+                counts.append(len(calls))
+            assert counts[0] == counts[1] > 0
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_sorts_each_vertex_once(self, n, monkeypatch):

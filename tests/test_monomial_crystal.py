@@ -20,6 +20,7 @@ from affinecrystal import (
     y,
 )
 from affinecrystal.errors import (
+    BoundOutOfRange,
     CompatibilityUndefinedForOddN,
     ParseError,
     RankMismatch,
@@ -28,6 +29,7 @@ from affinecrystal.errors import (
     UnknownChoice,
     ZeroExponent,
 )
+from affinecrystal.monomial_crystal import MAX_MONOMIAL_NUMBER
 from helpers import (
     oracle_monomial_stats,
     oracle_mult_a,
@@ -66,6 +68,17 @@ class TestParseFormat:
     def test_residue_out_of_range(self):
         with pytest.raises(ResidueOutOfRange):
             parse_monomial("Y(4,0)", 4)
+
+    def test_number_ceiling(self):
+        top = MAX_MONOMIAL_NUMBER
+        m = parse_monomial(f"Y(1,{top})^-{top}*Y(2,-{top})^{top}", 4)
+        assert m.exponent(1, top) == -top and m.exponent(2, -top) == top
+        assert parse_monomial(f"Y(1,000{top})", 4) == y(4, 1, top)
+        for text in (f"Y(1,{top + 1})", f"Y(1,-{top + 1})", f"Y(1,0)^{top + 1}",
+                     f"Y(1,0)^-{top + 1}", "Y(1," + "9" * 5000 + ")",
+                     "Y(1,0)^" + "9" * 5000):
+            with pytest.raises(BoundOutOfRange):
+                parse_monomial(text, 4)
 
     def test_zero_exponent(self):
         with pytest.raises(ZeroExponent):
