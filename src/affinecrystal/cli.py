@@ -30,7 +30,7 @@ from .graphs import (
 )
 from .graphs import compare_graphs  # noqa: F401 (patched by the tracer)
 from .isomorphism import partition_to_monomial
-from .monomial_crystal import e_m, f_m, format_monomial, parse_monomial
+from .monomial_crystal import _number, e_m, f_m, format_monomial, parse_monomial
 from .partition_crystal import e_up, f_down
 from .partitions import format_partition, parse_partition
 
@@ -98,12 +98,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_word(word: str, n: int) -> list[tuple[str, int]]:
+    """(kind, color mod n) per token; a color above MAX_MONOMIAL_NUMBER
+    raises BoundOutOfRange before int() reads it."""
     ops = []
     for tok in word.split(","):
         tok = tok.strip()
         if len(tok) < 2 or tok[0] not in "ef" or not tok[1:].isdecimal():
             raise CrystalError(f"bad operator token {tok!r}")
-        ops.append((tok[0], int(tok[1:]) % n))
+        ops.append((tok[0], _number(tok[1:], "color") % n))
     return ops
 
 

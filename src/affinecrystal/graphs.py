@@ -21,13 +21,7 @@ from .errors import (
     RankMismatch,
     UnknownChoice,
 )
-from .monomial_crystal import (
-    _canonical,
-    _FactorTexts,
-    _format_key,
-    _key,
-    _phi_q,
-)
+from .monomial_crystal import _bump, _FactorTexts, _format_key, _key, _phi_q
 from .partitions import _format_parts, _trusted, check_rank
 
 # unused here; perfbench/tracing.py patches these five names on this module
@@ -179,29 +173,10 @@ def _partition_bfs(n, depth, table):
     return vertices, edges
 
 
-def _bump(terms, k, u):
-    """One residue's (k, u) terms, by increasing k, times Y(., k)^u; a term
-    that reaches exponent 0 is dropped."""
-    for pos, (kk, uu) in enumerate(terms):
-        if kk < k:
-            continue
-        if kk > k:
-            return terms[:pos] + ((k, u),) + terms[pos:]
-        if uu + u:
-            return terms[:pos] + ((k, uu + u),) + terms[pos + 1:]
-        return terms[:pos] + terms[pos + 1:]
-    return terms + ((k, u),)
-
-
 def _monomial_root(n):
-    """Y(0,0) as a monomial vertex: residue i holds its (k, u) terms by
-    increasing k."""
+    """Y(0,0) as a monomial vertex: the per-residue form ``Monomial`` holds,
+    residue i with its (k, u) terms by increasing k."""
     return (((0, 1),),) + ((),) * (n - 1)
-
-
-def _monomial_items(v):
-    """The canonical exponent items ((i, k), u) of the monomial vertex v."""
-    return [((i, k), u) for i, terms in enumerate(v) for k, u in terms]
 
 
 def _monomial_step(n):
@@ -256,7 +231,7 @@ def _monomial_bfs(n, depth):
     texts = _FactorTexts()
     children = _monomial_step(n)
     root = _monomial_root(n)
-    vertices = [_format_key(_key(_monomial_items(root)), texts)]
+    vertices = [_format_key(_key(root), texts)]
     edges: list[tuple[int, int, int]] = []
     frontier = [root]
     first = 0  # id of frontier[0]; each level's ids are consecutive
@@ -270,7 +245,7 @@ def _monomial_bfs(n, depth):
                 dst = ids.get(w)
                 if dst is None:
                     dst = ids[w] = len(vertices)
-                    vertices.append(_format_key(_key(_monomial_items(w)), texts))
+                    vertices.append(_format_key(_key(w), texts))
                     nxt.append(w)
                 edges.append((src, dst, i))
         first += len(frontier)
@@ -373,12 +348,11 @@ def compare_models(n, depth, model1, model2, a1=None, a2=None, use_psi=False):
         texts = _FactorTexts()
 
         def check(parts, v):
-            items = _monomial_items(v)
             # looked up at call time, so a profiler or a test can wrap it
-            if isomorphism.partition_to_monomial(_trusted(parts), n) == _canonical(n, dict(items)):
+            if isomorphism.partition_to_monomial(_trusted(parts), n)._res == v:
                 return None
             return (f"{_format_parts(parts)!r} does not correspond to "
-                    f"{_format_key(_key(items), texts)!r}")
+                    f"{_format_key(_key(v), texts)!r}")
 
     sides = _model_side(model1, n, a1), _model_side(model2, n, a2)
     ids1, ids2, mismatch = _walk(*sides, depth, check)

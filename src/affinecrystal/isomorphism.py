@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .arms import horizontal_arm, is_regular
 from .errors import NotAddable, NotRegular
-from .monomial_crystal import Monomial, _canonical, e_m, f_m, mult_a
+from .monomial_crystal import Monomial, _canonical, _residues, e_m, f_m, mult_a
 from .partition_crystal import box_order_gt, e_up, f_down
 from .partitions import Box, Partition, check_rank, content, height, residue
 
@@ -42,7 +42,7 @@ def partition_to_monomial(lam: Partition, n: int) -> Monomial:
             exp[key] = exp.get(key, 0) - 1
     key = (-rows % n, rows)
     exp[key] = exp.get(key, 0) + 1
-    return _canonical(n, {key: u for key, u in exp.items() if u})
+    return _canonical(n, _residues(n, exp))
 
 
 def check_add_box_factor(lam: Partition, b: Box, n: int) -> bool:

@@ -1,7 +1,8 @@
 """Laurent monomials in the variables Y(i,k) and their crystal operators.
 
 A monomial is a finitely supported exponent map (residue i, integer k) ->
-nonzero integer.  The operators multiply by
+nonzero integer, held as n tuples: residue i holds its (k, u) terms by
+increasing k.  The operators multiply by
 
     A(i,k) = Y(i,k-1) Y(i,k+1) Y(i+1,k)^-1 Y(i-1,k)^-1
 
@@ -9,7 +10,8 @@ nonzero integer.  The operators multiply by
 statistics eps/phi/p/q or, equivalently, from a bracket string holding one
 ``(`` per positive exponent unit and one ``)`` per negative unit, ordered
 by decreasing k.  Both definitions are implemented and tested against each
-other.
+other.  Both read one residue's tuple as it is stored, and A(i,k) edits
+only residues i and i +- 1.
 """
 
 from __future__ import annotations
@@ -34,13 +36,14 @@ from .partitions import check_rank
 class Monomial:
     """Immutable product of Y(i,k)^u factors over a fixed rank n.
 
-    The only stored state is the canonical exponent dict (zero exponents
-    dropped, residues reduced mod n); equality and hashing use it, so
-    monomials work as dictionary keys.  The ordered factor tuple is built
-    only on request, by :meth:`factors`.
+    The only stored state is the canonical per-residue form: n tuples,
+    residue i holding its (k, u) terms by strictly increasing k, with no
+    zero exponent.  Equality and hashing use it, so monomials work as
+    dictionary keys.  The ordered factor tuple is built only on request,
+    by :meth:`factors`.
     """
 
-    __slots__ = ("n", "_exp")
+    __slots__ = ("n", "_res")
 
     def __init__(self, n: int, exponents: dict | None = None):
         check_rank(n)
@@ -53,59 +56,48 @@ class Monomial:
                         "k and exponent"
                     )
                 key = (i % n, k)
-                v = exp.get(key, 0) + u
-                if v:
-                    exp[key] = v
-                elif u:
-                    # only an existing -u cancels to 0
-                    del exp[key]
+                exp[key] = exp.get(key, 0) + u
         _set_n(self, n)
-        _set_exp(self, exp)
+        _set_res(self, _residues(n, exp))
 
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
 
     def exponent(self, i: int, k: int) -> int:
-        return self._exp.get((i % self.n, k), 0)
+        return dict(self._res[_color(self, i)]).get(_int_k(k), 0)
 
     def factors(self) -> tuple[tuple[tuple[int, int], int], ...]:
         """((i, k), u) pairs sorted by decreasing k, then increasing i."""
-        key = _key(self._exp.items())
+        key = _key(self._res)
         return tuple(((i, -nk), u) for nk, i, u in zip(key[::3], key[1::3], key[2::3]))
 
     def support(self, i: int) -> list[int]:
         """The k with nonzero exponent at residue i, increasing."""
-        return [k for k, _ in _residue_terms(self, i)]
+        return [k for k, _ in self._res[_color(self, i)]]
 
     def is_one(self) -> bool:
-        return not self._exp
+        return not any(self._res)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
         if self.n != other.n:
             raise RankMismatch("cannot multiply monomials over different ranks")
-        exp = dict(self._exp)
-        for key, u in other._exp.items():
-            v = exp.get(key, 0) + u
-            if v:
-                exp[key] = v
-            else:
-                del exp[key]
-        return _canonical(self.n, exp)
+        res = list(self._res)
+        for i, terms in enumerate(other._res):
+            for k, u in terms:
+                res[i] = _bump(res[i], k, u)
+        return _canonical(self.n, tuple(res))
 
     def __pow__(self, e: int) -> "Monomial":
-        return Monomial(self.n, {key: u * e for key, u in self._exp.items()})
+        return Monomial(self.n, {(i, k): u * e for i, terms in enumerate(self._res)
+                                 for k, u in terms})
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Monomial)
-            and self.n == other.n
-            and self._exp == other._exp
-        )
+        return isinstance(other, Monomial) and self._res == other._res
 
     def __hash__(self):
-        return hash((self.n, frozenset(self._exp.items())))
+        return hash(self._res)
 
     def __repr__(self):
         return f"Monomial(n={self.n}, {format_monomial(self)!r})"
@@ -115,23 +107,63 @@ class Monomial:
 
 
 _set_n = Monomial.n.__set__
-_set_exp = Monomial._exp.__set__
+_set_res = Monomial._res.__set__
 
 
-def _canonical(n: int, exp: dict) -> Monomial:
-    """Wrap ``exp`` without copying or checking it.
+def _residues(n: int, exp: dict) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The per-residue form of an exponent dict with residues in [0, n);
+    zero exponents are dropped."""
+    res = [[] for _ in range(n)]
+    for (i, k), u in exp.items():
+        if u:
+            res[i].append((k, u))
+    for terms in res:
+        terms.sort()
+    return tuple(map(tuple, res))
 
-    Callers guarantee a valid rank and a canonical dict: residues in
-    [0, n), no zero exponents, and no other reference to ``exp``."""
+
+def _canonical(n: int, res: tuple) -> Monomial:
+    """Wrap the per-residue form ``res`` without copying or checking it.
+
+    Callers guarantee a valid rank and a canonical ``res``: n tuples of
+    (k, u) terms by strictly increasing k, with no zero exponent."""
     m = object.__new__(Monomial)
     _set_n(m, n)
-    _set_exp(m, exp)
+    _set_res(m, res)
     return m
 
 
-def _key(items) -> tuple[int, ...]:
-    """Flat (-k, i, u, -k, i, u, ...) of a canonical dict's items, in factor order."""
-    return tuple(chain.from_iterable(sorted([(-k, i, u) for (i, k), u in items])))
+def _bump(terms, k, u):
+    """One residue's (k, u) terms, by increasing k, times Y(., k)^u; a term
+    that reaches exponent 0 is dropped."""
+    for pos, (kk, uu) in enumerate(terms):
+        if kk < k:
+            continue
+        if kk > k:
+            return terms[:pos] + ((k, u),) + terms[pos:]
+        if uu + u:
+            return terms[:pos] + ((k, uu + u),) + terms[pos + 1:]
+        return terms[:pos] + terms[pos + 1:]
+    return terms + ((k, u),)
+
+
+def _color(m: Monomial, i) -> int:
+    """i mod m.n; ParseError unless i is an int."""
+    if type(i) is not int:
+        raise ParseError(f"residue {i!r} is not an int")
+    return i % m.n
+
+
+def _int_k(k) -> int:
+    if type(k) is not int:
+        raise ParseError(f"k {k!r} is not an int")
+    return k
+
+
+def _key(res) -> tuple[int, ...]:
+    """Flat (-k, i, u, -k, i, u, ...) of a per-residue form, in factor order."""
+    return tuple(chain.from_iterable(sorted(
+        [(-k, i, u) for i, terms in enumerate(res) for k, u in terms])))
 
 
 class _FactorTexts(dict):
@@ -150,12 +182,6 @@ def _format_key(key: tuple[int, ...], texts: _FactorTexts) -> str:
     if not key:
         return "1"
     return "*".join(map(texts.__getitem__, zip(key[::3], key[1::3], key[2::3])))
-
-
-def _residue_terms(m: Monomial, i: int) -> list[tuple[int, int]]:
-    """(k, u) for every nonzero exponent at residue i, by increasing k."""
-    i %= m.n
-    return sorted((k, u) for (j, k), u in m._exp.items() if j == i)
 
 
 def y(n: int, i: int, k: int, power: int = 1) -> Monomial:
@@ -231,32 +257,21 @@ def parse_monomial(text: str, n: int) -> Monomial:
 
 def format_monomial(m: Monomial) -> str:
     """Canonical text: factors by decreasing k then increasing residue."""
-    return _format_key(_key(m._exp.items()), _FactorTexts())
+    return _format_key(_key(m._res), _FactorTexts())
 
 
 def mult_a(m: Monomial, i: int, k: int, sign: int = 1) -> Monomial:
-    """Multiply by A(i,k)^sign with cancellation (sign is +1 or -1)."""
-    if sign not in (1, -1):
-        raise UnknownChoice(f"sign must be +1 or -1, got {sign}")
-    n = m.n
-    exp = dict(m._exp)
-    _mult_a_exp(exp, n, i % n, k, sign)
-    return _canonical(n, exp)
+    """Multiply by A(i,k)^sign with cancellation (sign is +1 or -1).
 
-
-def _mult_a_exp(exp: dict, n: int, i: int, k: int, sign: int) -> None:
-    """Multiply the canonical dict ``exp`` by A(i,k)^sign in place; i in [0, n)."""
-    for key, u in (
-        ((i, k - 1), sign),
-        ((i, k + 1), sign),
-        (((i + 1) % n, k), -sign),
-        (((i - 1) % n, k), -sign),
-    ):
-        v = exp.get(key, 0) + u
-        if v:
-            exp[key] = v
-        else:
-            del exp[key]
+    Only residues i and i +- 1 change; the others are shared with m."""
+    if type(sign) is not int or sign not in (1, -1):
+        raise UnknownChoice(f"sign must be +1 or -1, got {sign!r}")
+    n, i, k = m.n, _color(m, i), _int_k(k)
+    res = list(m._res)
+    res[i] = _bump(_bump(res[i], k - 1, sign), k + 1, sign)
+    for j in ((i + 1) % n, (i - 1) % n):
+        res[j] = _bump(res[j], k, -sign)
+    return _canonical(n, tuple(res))
 
 
 def weight(m: Monomial) -> dict[int, int]:
@@ -264,10 +279,10 @@ def weight(m: Monomial) -> dict[int, int]:
 
     Residues whose exponents sum to zero are omitted."""
     out: dict[int, int] = {}
-    for (i, _), u in m._exp.items():
-        out[i] = out.get(i, 0) + u
-        if out[i] == 0:
-            del out[i]
+    for i, terms in enumerate(m._res):
+        total = sum(u for _, u in terms)
+        if total:
+            out[i] = total
     return out
 
 
@@ -289,7 +304,7 @@ def stats(m: Monomial, i: int) -> MonomialStats:
     support points suffices: intervals of constancy close at a support
     point on the relevant side.
     """
-    terms = _residue_terms(m, i)
+    terms = m._res[_color(m, i)]
     eps, p = 0, None
     tail = 0
     for k, u in reversed(terms):
@@ -300,7 +315,7 @@ def stats(m: Monomial, i: int) -> MonomialStats:
     return MonomialStats(eps, phi, p, q)
 
 
-def _phi_q(terms: list[tuple[int, int]]) -> tuple[int, int | None]:
+def _phi_q(terms: tuple[tuple[int, int], ...]) -> tuple[int, int | None]:
     """phi and the smallest maximizing q from (k, u) terms by increasing k."""
     phi, q = 0, None
     head = 0
@@ -313,9 +328,9 @@ def _phi_q(terms: list[tuple[int, int]]) -> tuple[int, int | None]:
 
 def monomial_bracket_string(m: Monomial, i: int) -> BracketString:
     """One '(' per positive unit and ')' per negative unit, decreasing k."""
-    i %= m.n
+    i = _color(m, i)
     tokens = []
-    for k, u in reversed(_residue_terms(m, i)):
+    for k, u in reversed(m._res[i]):
         side = OPEN if u > 0 else CLOSE
         tokens.extend((side, (i, k)) for _ in range(abs(u)))
     return BracketString.build(tokens)
@@ -346,7 +361,7 @@ def f_m(m: Monomial, i: int, mode: str = "analytic") -> Monomial | None:
     """Lowering operator: multiply by A(i, .)^-1, or None when phi is 0."""
     _check_mode(mode)
     if mode == "analytic":
-        q = _phi_q(_residue_terms(m, i))[1]
+        q = _phi_q(m._res[_color(m, i)])[1]
         if q is None:
             return None
         return mult_a(m, i, q + 1, -1)
@@ -360,7 +375,7 @@ def f_m(m: Monomial, i: int, mode: str = "analytic") -> Monomial | None:
 
 def is_dominant(m: Monomial) -> bool:
     """All exponents nonnegative."""
-    return all(u >= 0 for u in m._exp.values())
+    return all(u >= 0 for terms in m._res for _, u in terms)
 
 
 def is_compatible(m: Monomial) -> bool:
@@ -369,4 +384,4 @@ def is_compatible(m: Monomial) -> bool:
         raise CompatibilityUndefinedForOddN(
             f"compatibility needs even rank, got n = {m.n}"
         )
-    return all(k % 2 == i % 2 for i, k in m._exp)
+    return all(k % 2 == i % 2 for i, terms in enumerate(m._res) for k, _ in terms)

@@ -87,14 +87,18 @@ def oracle_monomial_stats(m: Monomial, i: int):
 
 
 def oracle_mult_a(m: Monomial, i: int, k: int, sign: int = 1) -> Monomial:
-    """The definition: m times A(i,k)^sign built as a monomial of its own."""
-    factor = {
-        (i, k - 1): sign,
-        (i, k + 1): sign,
-        (i + 1, k): -sign,
-        (i - 1, k): -sign,
-    }
-    return m * Monomial(m.n, factor)
+    """The definition: the four exponents of A(i,k)^sign added to m's
+    factors in a plain dict, which the constructor reduces and sorts."""
+    n = m.n
+    exp = dict(m.factors())
+    for key, u in (
+        ((i % n, k - 1), sign),
+        ((i % n, k + 1), sign),
+        (((i + 1) % n, k), -sign),
+        (((i - 1) % n, k), -sign),
+    ):
+        exp[key] = exp.get(key, 0) + u
+    return Monomial(n, exp)
 
 
 def oracle_corners(parts):

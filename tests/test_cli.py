@@ -304,6 +304,19 @@ class TestUsage:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("obj", ["[1]", "Y(0,0)"])
+    def test_huge_color(self, capsys, obj):
+        # refused before int() reads it, so no operator runs and a color
+        # too long for int() leaves no traceback
+        for color in ("9" * 5000, str(MAX_MONOMIAL_NUMBER + 1)):
+            code, out, err = run(capsys, "--n", "3", "apply", obj, f"f0,f{color}")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: color ") and err.count("\n") == 1
+            assert "ceiling" in err
+        # the ceiling itself is reduced mod n like any color: 10^6 = 1 mod 3
+        code, out, _ = run(capsys, "--n", "3", "apply", "[]", f"f0,f{MAX_MONOMIAL_NUMBER}")
+        assert (code, out) == (0, "[2]\n")
+
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["--n", "3", "frobnicate"])

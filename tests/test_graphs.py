@@ -231,7 +231,7 @@ class TestPartitionBFS:
 
 def residue_form(m):
     """The monomial vertex of ``m``: per residue, its (k, u) terms by increasing k."""
-    return tuple(tuple(sorted((k, u) for (j, k), u in m._exp.items() if j == i))
+    return tuple(tuple(sorted((k, u) for (j, k), u in m.factors() if j == i))
                  for i in range(m.n))
 
 
@@ -275,8 +275,8 @@ class TestMonomialBFS:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_vertex_objects(self, n):
         # the lowering step both the BFS and the walk run: on a vertex's
-        # per-residue terms it gives, per color, the canonical items of
-        # f_m, and the edge of that color leads to their label
+        # per-residue terms it gives, per color, the per-residue form of
+        # f_m, and the edge of that color leads to its label
         g = generate_graph("monomial", n, 10)
         out = g.out_edges()
         children = graphs._monomial_step(n)
@@ -288,8 +288,7 @@ class TestMonomialBFS:
                 if child is None:
                     assert down is None
                     continue
-                assert dict(graphs._monomial_items(child)) == down._exp
-                assert child == residue_form(down)
+                assert child == down._res == residue_form(down)
                 if i in out[v]:
                     assert format_monomial(down) == g.vertices[out[v][i]]
 

@@ -34,6 +34,7 @@ from helpers import (
     oracle_monomial_stats,
     oracle_mult_a,
     random_monomial,
+    random_partition,
     random_reachable_monomial,
 )
 
@@ -120,8 +121,10 @@ class TestMultA:
                 assert delta == {i: -2, (i + 1) % n: 1, (i - 1) % n: 1}
 
     def test_bad_sign(self):
-        with pytest.raises(UnknownChoice):
-            mult_a(one(3), 0, 0, 2)
+        # a float or bool sign would be stored as an exponent
+        for sign in (2, 1.0, True):
+            with pytest.raises(UnknownChoice):
+                mult_a(one(3), 0, 0, sign)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_against_definition(self, n):
@@ -248,6 +251,23 @@ class TestOperators:
         with pytest.raises(UnknownChoice):
             f_m(one(3), 0, "x")
 
+    @pytest.mark.parametrize("bad", [0.0, 1.5, "0", None])
+    def test_color_and_k_not_int(self, bad):
+        # a float color or k would give a non-canonical monomial such as
+        # Y(0.0,2)^-1*Y(1.0,1)*Y(2.0,1), or k = 2.5
+        m = y(3, 0, 0) * y(3, 1, 2, -1)
+        calls = [
+            lambda: f_m(m, bad), lambda: f_m(m, bad, "bracket"),
+            lambda: e_m(m, bad), lambda: e_m(m, bad, "bracket"),
+            lambda: stats(m, bad), lambda: monomial_bracket_string(m, bad),
+            lambda: m.support(bad), lambda: m.exponent(bad, 0),
+            lambda: m.exponent(0, bad), lambda: mult_a(m, bad, 1),
+            lambda: mult_a(m, 0, bad), lambda: mult_a(m, 0, bad, -1),
+        ]
+        for call in calls:
+            with pytest.raises(ParseError):
+                call()
+
 
 class TestBracketString:
     def test_tokens_single_sided_per_position(self):
@@ -345,3 +365,42 @@ class TestMonomialValue:
         m = y(4, 1, 2) * y(4, 2, 3, -2)
         assert m ** 2 == y(4, 1, 2, 2) * y(4, 2, 3, -4)
         assert Monomial(4) == m ** 0
+
+
+def assert_canonical(m, n):
+    """The stored form: n tuples, each of (k, u) int terms by strictly
+    increasing k, with no zero exponent."""
+    assert m.n == n and type(m._res) is tuple and len(m._res) == n
+    for terms in m._res:
+        assert type(terms) is tuple
+        assert all(type(k) is int and type(u) is int and u != 0 for k, u in terms)
+        ks = [k for k, _ in terms]
+        assert all(a < b for a, b in zip(ks, ks[1:]))
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_every_result_is_canonical(self, n):
+        rng = random.Random(70 + n)
+        results = 0
+        for _ in range(150):
+            m, other = random_monomial(rng, n), random_monomial(rng, n)
+            i, k = rng.randrange(n), rng.randint(-6, 12)
+            factors = dict(m.factors())
+            # residues beyond [0, n) and a pair that cancels in the constructor
+            shifted = {(j + n * rng.randint(-2, 2), kk): u for (j, kk), u in factors.items()}
+            cancelled = {(i - n, 99): 2, (i, 99): -2, **factors}
+            out = [
+                m, Monomial(n, shifted), Monomial(n, cancelled), Monomial(n),
+                parse_monomial(format_monomial(m), n), m * other, m * m ** -1,
+                m ** rng.randint(-2, 3), mult_a(m, i, k, 1), mult_a(m, i, k, -1),
+                partition_to_monomial(random_partition(rng, 20), n),
+            ]
+            for mode in ("analytic", "bracket"):
+                out += [f_m(m, i, mode), e_m(m, i, mode)]
+            for x in out:
+                if x is not None:
+                    assert_canonical(x, n)
+                    results += 1
+        # eleven results per draw, plus the f_m and e_m that act
+        assert results > 150 * 11
