@@ -11,8 +11,7 @@ on raw corner tokens and by :class:`BracketString`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 OPEN = "("
 CLOSE = ")"
@@ -40,21 +39,21 @@ def scan(tokens) -> tuple[int, int, int, int]:
     return eps, phi, last_close, first_open if phi else -1
 
 
-@dataclass(frozen=True)
-class BracketString:
+class BracketString(NamedTuple):
     """Tokens in their acting order plus the result of :func:`scan`.
 
     ``payload`` is whatever the token stands for: a box for the partition
     model, a (residue, k) pair for the monomial model.  ``eps`` and
-    ``phi`` count the unmatched ``)`` and ``(``.
+    ``phi`` count the unmatched ``)`` and ``(``; ``last_close`` and
+    ``first_open`` index the extreme unmatched ones, -1 when missing.
     """
 
     sides: tuple[str, ...]
     payloads: tuple[Any, ...]
     eps: int
     phi: int
-    _last_close: int
-    _first_open: int
+    last_close: int
+    first_open: int
 
     @classmethod
     def build(cls, tokens: list[tuple[str, Any]]) -> "BracketString":
@@ -68,7 +67,7 @@ class BracketString:
         return "".join(self.sides)
 
     def rightmost_unmatched_close(self) -> int | None:
-        return None if self._last_close < 0 else self._last_close
+        return None if self.last_close < 0 else self.last_close
 
     def leftmost_unmatched_open(self) -> int | None:
-        return None if self._first_open < 0 else self._first_open
+        return None if self.first_open < 0 else self.first_open

@@ -161,9 +161,6 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if args.use_psi and (args.model != PARTITION_MODEL or args.model2 != MONOMIAL_MODEL):
-        print("--use-psi needs --model partition and --model2 monomial", file=sys.stderr)
-        return 2
     a1 = _model_arm(args.model, args.n, args.arm)
     a2 = _model_arm(args.model2, args.n, args.arm2 or args.arm)
     vertices, mismatch = compare_models(

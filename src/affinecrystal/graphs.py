@@ -10,7 +10,7 @@ vertex keeps the id it got on first discovery.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _backend, isomorphism
 from .arms import ArmSequence, horizontal_arm
@@ -49,8 +49,7 @@ MAX_GRAPH_VERTICES = 500_000
 _CEILING_DEPTH = 58
 
 
-@dataclass
-class CrystalGraph:
+class CrystalGraph(NamedTuple):
     """Rooted digraph with residue-colored edges and canonical text labels."""
 
     model: str
@@ -253,8 +252,7 @@ def _monomial_bfs(n, depth):
     return vertices, edges
 
 
-@dataclass
-class GraphMismatch:
+class GraphMismatch(NamedTuple):
     """First divergence found by the synchronized traversal."""
 
     kind: str
@@ -270,8 +268,7 @@ class GraphMismatch:
         return f"{self.kind}{where}{color}{tail}"
 
 
-@dataclass
-class GraphComparison:
+class GraphComparison(NamedTuple):
     """Either a total vertex bijection or a mismatch witness."""
 
     bijection: dict[int, int] | None = None
@@ -358,8 +355,8 @@ def compare_models(n, depth, model1, model2, a1=None, a2=None, use_psi=False):
     ids1, ids2, mismatch = _walk(*sides, depth, check)
     if mismatch is not None:
         # a vertex not yet paired is the next one its side would discover
-        mismatch.vertex1 = ids1.get(mismatch.vertex1, len(ids1))
-        mismatch.vertex2 = ids2.get(mismatch.vertex2, len(ids2))
+        mismatch = mismatch._replace(vertex1=ids1.get(mismatch.vertex1, len(ids1)),
+                                     vertex2=ids2.get(mismatch.vertex2, len(ids2)))
     return len(ids1), mismatch
 
 

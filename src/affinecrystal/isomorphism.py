@@ -10,7 +10,7 @@ report witnesses on any failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .arms import horizontal_arm, is_regular
 from .errors import NotAddable, NotRegular
@@ -59,8 +59,7 @@ def check_add_box_factor(lam: Partition, b: Box, n: int) -> bool:
     return grown == factored
 
 
-@dataclass
-class IntertwineReport:
+class IntertwineReport(NamedTuple):
     """Both equalities image(op(lam)) == op(image(lam)), with witnesses."""
 
     lam: Partition
@@ -108,13 +107,12 @@ def check_intertwining(lam: Partition, i: int, n: int) -> IntertwineReport:
     )
 
 
-@dataclass
-class CornerRuleReport:
+class CornerRuleReport(NamedTuple):
     """Violations of the five corner-separation rules; empty means pass."""
 
     lam: Partition
     i: int
-    violations: list[tuple[str, Box, Box, Box | None]] = field(default_factory=list)
+    violations: list[tuple[str, Box, Box, Box | None]]
 
     @property
     def ok(self) -> bool:
@@ -138,7 +136,7 @@ def check_corner_order_rules(lam: Partition, i: int, n: int) -> CornerRuleReport
     i %= n
     adds = [b for b in lam.addable_boxes() if residue(b, n) == i]
     rems = [b for b in lam.removable_boxes() if residue(b, n) == i]
-    report = CornerRuleReport(lam, i)
+    report = CornerRuleReport(lam, i, [])
 
     def between(c: Box, b: Box, bp: Box) -> bool:
         return box_order_gt(c, b, a) and box_order_gt(bp, c, a)

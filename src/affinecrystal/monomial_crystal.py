@@ -30,7 +30,7 @@ from .errors import (
     UnknownChoice,
     ZeroExponent,
 )
-from .partitions import check_rank
+from .partitions import _color, check_rank
 
 
 class Monomial:
@@ -145,13 +145,6 @@ def _bump(terms, k, u):
             return terms[:pos] + ((k, uu + u),) + terms[pos + 1:]
         return terms[:pos] + terms[pos + 1:]
     return terms + ((k, u),)
-
-
-def _color(m: Monomial, i) -> int:
-    """i mod m.n; ParseError unless i is an int."""
-    if type(i) is not int:
-        raise ParseError(f"residue {i!r} is not an int")
-    return i % m.n
 
 
 def _int_k(k) -> int:

@@ -18,7 +18,7 @@ from ._kernel_py import precedes
 from .arms import ArmSequence
 from .brackets import BracketString
 from .errors import ResidueMismatch, SameBox
-from .partitions import Box, Partition, _trusted, content, height
+from .partitions import Box, Partition, _color, _trusted, content, height
 
 
 def box_order_gt(b: Box, b_prime: Box, a: ArmSequence) -> bool:
@@ -46,26 +46,25 @@ def horizontal_key(b: Box) -> tuple[int, int]:
 
 def bracket_string(lam: Partition, i: int, a: ArmSequence) -> BracketString:
     """All color-i corners of ``lam`` as an ordered, matched bracket string."""
-    i %= a.n
-    toks = _backend.kernel.corner_tokens(lam.parts, i, a.n, a.values)
+    toks = _backend.kernel.corner_tokens(lam.parts, _color(a, i), a.n, a.values)
     return BracketString.build([(side, Box(r, c)) for side, r, c in toks])
 
 
 def f_down(lam: Partition, i: int, a: ArmSequence) -> Partition | None:
     """Lowering operator: adds one color-i box, or None when annihilated."""
-    parts = _backend.kernel.f_step(lam.parts, i % a.n, a.n, a.values)
+    parts = _backend.kernel.f_step(lam.parts, _color(a, i), a.n, a.values)
     return None if parts is None else _trusted(parts)
 
 
 def e_up(lam: Partition, i: int, a: ArmSequence) -> Partition | None:
     """Raising operator: removes one color-i box, or None when annihilated."""
-    parts = _backend.kernel.e_step(lam.parts, i % a.n, a.n, a.values)
+    parts = _backend.kernel.e_step(lam.parts, _color(a, i), a.n, a.values)
     return None if parts is None else _trusted(parts)
 
 
 def eps_phi(lam: Partition, i: int, a: ArmSequence) -> tuple[int, int]:
     """Counts of unmatched ')' and '(' in the color-i bracket string."""
-    return _backend.kernel.unmatched_counts(lam.parts, i % a.n, a.n, a.values)
+    return _backend.kernel.unmatched_counts(lam.parts, _color(a, i), a.n, a.values)
 
 
 def f_box(lam: Partition, i: int, a: ArmSequence) -> Box | None:

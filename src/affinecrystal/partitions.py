@@ -52,6 +52,14 @@ def check_rank(n: int) -> None:
         raise RankTooSmall(f"rank must be an int >= 3, got {n!r}")
 
 
+def _color(owner, i) -> int:
+    """i mod owner.n, for a Monomial or an ArmSequence; ParseError unless
+    i is an int (bools included)."""
+    if type(i) is not int:
+        raise ParseError(f"residue {i!r} is not an int")
+    return i % owner.n
+
+
 def residue(b: Box, n: int) -> int:
     """Content of ``b`` reduced modulo ``n`` into [0, n); the box color."""
     check_rank(n)

@@ -12,6 +12,9 @@ from affinecrystal import (
     arm_from_values,
     compare_models,
     count_regular,
+    e_up,
+    f_down,
+    generate_graph,
     horizontal_arm,
     is_illegal_box,
     is_regular,
@@ -163,6 +166,26 @@ class TestEveryValidTable:
                     assert mismatch is None, (table, str(mismatch))
                     assert vertices == sum(oracle_regular_counts(n, depth))
                     assert count_regular(n, a, size) == oracle_regular_counts(n, size)
+
+    def test_every_table_inverts_f_and_e(self):
+        # past depth n H - 2 a step can need A_t beyond the horizon
+        checks = 0
+        for n in range(3, 7):
+            for horizon in range(1, 5):
+                depth = min(n * horizon - 2, 8)
+                for table in oracle_valid_tables(n, horizon):
+                    a = unchecked_arm(n, table)
+                    for text in generate_graph("partition", n, depth, a).vertices:
+                        lam = parse_partition(text)
+                        for i in range(n):
+                            down, up = f_down(lam, i, a), e_up(lam, i, a)
+                            if down is not None:
+                                assert e_up(down, i, a) == lam, (table, text, i)
+                                checks += 1
+                            if up is not None:
+                                assert f_down(up, i, a) == lam, (table, text, i)
+                                checks += 1
+        assert checks == 29179  # over 162 tables; the sweep did not shrink
 
 
 class TestRandomArm:

@@ -194,13 +194,17 @@ class TestCompare:
             assert (code, out) == (0, "isomorphic (105 vertices)\n")
 
     def test_use_psi_needs_right_models(self, capsys):
-        code, _, err = run(
-            capsys, "--n", "3", "compare",
-            "--model", "monomial", "--model2", "monomial",
-            "--depth", "2", "--use-psi",
-        )
-        assert code == 2
-        assert "use-psi" in err
+        # the library's UnknownChoice, printed like every other usage error
+        for models in (("monomial", "monomial"), ("monomial", "partition"),
+                       ("partition", "partition")):
+            code, out, err = run(
+                capsys, "--n", "3", "compare",
+                "--model", models[0], "--model2", models[1],
+                "--depth", "2", "--use-psi",
+            )
+            assert (code, out) == (2, "")
+            assert err.splitlines() == [
+                "error: use_psi needs the partition model, then the monomial one"]
 
 
 class TestCount:

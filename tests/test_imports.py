@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and importing
+the package loads no heavy stdlib module it does not need.
 
 A module-level import counts as used when its name is read anywhere in
 the module or listed in ``__all__``.  A deliberate exception carries
@@ -7,6 +8,8 @@ the module or listed in ``__all__``.  A deliberate exception carries
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +60,22 @@ def test_scan_sees_an_unused_import():
     names = [name for name, _ in imported_names(tree)]
     assert names == ["os", "path", "argv"]
     assert set(names) - used_names(tree) == {"os", "path"}
+
+
+# every CLI run starts a fresh interpreter, and dataclasses imports
+# inspect, ast, dis and tokenize: about a quarter of that start-up
+IMPORT_ADDS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import affinecrystal, affinecrystal.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_loads_no_dataclasses():
+    run = subprocess.run([sys.executable, "-c", IMPORT_ADDS, str(PACKAGE.parent)],
+                         capture_output=True, text=True, check=True)
+    added = set(run.stdout.split())
+    assert "affinecrystal.cli" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)

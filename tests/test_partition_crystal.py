@@ -22,7 +22,7 @@ from affinecrystal import (
     residue,
 )
 from affinecrystal._kernel_py import corner_tokens, horizontal_value
-from affinecrystal.errors import HorizonExceedsTable, ResidueMismatch, SameBox
+from affinecrystal.errors import HorizonExceedsTable, ParseError, ResidueMismatch, SameBox
 from helpers import (
     oracle_is_regular,
     oracle_partitions,
@@ -229,6 +229,14 @@ class TestOperators:
                 op(lam, 0, a)
         with pytest.raises(HorizonExceedsTable):
             is_regular(parse_partition("[8,1]"), a)  # corner hook 9 needs A_3
+
+    @pytest.mark.parametrize("bad", [0.0, 1.5, "0", None, True])
+    def test_color_not_int(self, bad):
+        # the kernel reduces any number with %, so unchecked, 1.5 would
+        # lower [1] to None and True like 1; the monomial side raises the same
+        for op in (f_down, e_up, eps_phi, f_box, e_box, bracket_string):
+            with pytest.raises(ParseError, match="is not an int"):
+                op(Partition([1]), bad, H3)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("horizon", [2, 3])
