@@ -115,59 +115,47 @@ def generate_graph(
     a: ArmSequence | None = None,
 ) -> CrystalGraph:
     """All vertices within ``depth`` lowering steps of the root, with every
-    lowering edge among them.
-
-    The partition BFS runs on raw part tuples and gets all n children of a
-    vertex from one ``f_children`` call.  The monomial BFS runs on tuples
-    of per-residue terms, lowered by :func:`_monomial_step`, and sorts only
-    a new child into its label.
-    """
+    lowering edge among them."""
     check_rank(n)
     _check_graph_size(n, depth)
-    if model == PARTITION_MODEL:
-        a = _partition_arm(n, a)
-        vertices, edges = _partition_bfs(n, depth, a.values)
-        arm_descriptor = a.descriptor
-    elif model == MONOMIAL_MODEL:
-        vertices, edges = _monomial_bfs(n, depth)
-        arm_descriptor = None
-    else:
-        raise UnknownChoice(f"unknown model {model!r}")
+    vertices, edges = _bfs(*_model_side(model, n, a), depth)
     return CrystalGraph(
         model=model,
         n=n,
         depth=depth,
-        arm=arm_descriptor,
+        arm=_partition_arm(n, a).descriptor if model == PARTITION_MODEL else None,
         vertices=vertices,
         edges=edges,
     )
 
 
-def _partition_bfs(n, depth, table):
-    """One ``f_children`` call per vertex, on raw part tuples.
+def _bfs(root, children, label, depth):
+    """Labels and edges of the vertices within ``depth`` levels of ``root``.
 
-    It reads the vertex's corners once and returns the child of every
-    color, so the rows are not rescanned per color.
+    A partition f adds one box under any table, and a monomial f lowers
+    sum(u k^2) over the factors by 2, so a child can only meet a vertex of
+    its own level: ``ids`` holds one level's vertices at a time.  Only a
+    new child is labelled.
     """
-    f_children = _backend.kernel.f_children
-    vertices = [_format_parts(())]
-    ids = {(): 0}
+    vertices = [label(root)]
     edges: list[tuple[int, int, int]] = []
-    frontier = [()]
+    frontier = [root]
+    first = 0  # id of frontier[0]; each level's ids are consecutive
     for level in range(1, depth + 1):
         nxt = []
-        for v in frontier:
-            src = ids[v]
-            for i, w in enumerate(f_children(v, n, table)):
+        ids = {}
+        for src, v in enumerate(frontier, first):
+            for i, w in enumerate(children(v)):
                 if w is None:
                     continue
                 dst = ids.get(w)
                 if dst is None:
                     dst = ids[w] = len(vertices)
-                    vertices.append(_format_parts(w))
+                    vertices.append(label(w))
                     nxt.append(w)
                 edges.append((src, dst, i))
         _check_level(len(vertices), level)
+        first += len(frontier)
         frontier = nxt
     return vertices, edges
 
@@ -216,40 +204,6 @@ def _monomial_step(n):
         return out
 
     return children
-
-
-def _monomial_bfs(n, depth):
-    """BFS over :func:`_monomial_step`.
-
-    f_i multiplies by some A(i,k)^-1, which lowers sum(u k^2) over the
-    factors by 2, so a monomial's depth is -sum(u k^2) / 2.  A child can
-    therefore only meet a vertex of its own level, and ``ids`` holds one
-    level's vertices at a time.  Only a new child is sorted into a key,
-    which gives its label.
-    """
-    texts = _FactorTexts()
-    children = _monomial_step(n)
-    root = _monomial_root(n)
-    vertices = [_format_key(_key(root), texts)]
-    edges: list[tuple[int, int, int]] = []
-    frontier = [root]
-    first = 0  # id of frontier[0]; each level's ids are consecutive
-    for _ in range(depth):
-        nxt = []
-        ids = {}
-        for src, v in enumerate(frontier, first):
-            for i, w in enumerate(children(v)):
-                if w is None:
-                    continue
-                dst = ids.get(w)
-                if dst is None:
-                    dst = ids[w] = len(vertices)
-                    vertices.append(_format_key(_key(w), texts))
-                    nxt.append(w)
-                edges.append((src, dst, i))
-        first += len(frontier)
-        frontier = nxt
-    return vertices, edges
 
 
 class GraphMismatch(NamedTuple):
@@ -318,11 +272,14 @@ def _walk(side1, side2, levels, check=None):
 
 
 def _model_side(model, n, a):
+    """``(root, children, label)`` of a model's crystal; ``label(v)`` is
+    v's canonical text."""
     if model == PARTITION_MODEL:
         table, f_children = _partition_arm(n, a).values, _backend.kernel.f_children
-        return (), lambda parts: f_children(parts, n, table)
+        return (), lambda parts: f_children(parts, n, table), _format_parts
     if model == MONOMIAL_MODEL:
-        return _monomial_root(n), _monomial_step(n)
+        texts = _FactorTexts()
+        return _monomial_root(n), _monomial_step(n), lambda v: _format_key(_key(v), texts)
     raise UnknownChoice(f"unknown model {model!r}")
 
 
@@ -338,21 +295,21 @@ def compare_models(n, depth, model1, model2, a1=None, a2=None, use_psi=False):
     """
     check_rank(n)
     _check_graph_size(n, depth)
+    if use_psi and (model1, model2) != (PARTITION_MODEL, MONOMIAL_MODEL):
+        raise UnknownChoice(
+            "the corner-map check needs the partition model first and the monomial "
+            "one second (--model partition --model2 monomial; model1, model2)")
+    (root1, children1, label1), (root2, children2, label2) = (
+        _model_side(model1, n, a1), _model_side(model2, n, a2))
     check = None
     if use_psi:
-        if (model1, model2) != (PARTITION_MODEL, MONOMIAL_MODEL):
-            raise UnknownChoice("use_psi needs the partition model, then the monomial one")
-        texts = _FactorTexts()
-
         def check(parts, v):
             # looked up at call time, so a profiler or a test can wrap it
             if isomorphism.partition_to_monomial(_trusted(parts), n)._res == v:
                 return None
-            return (f"{_format_parts(parts)!r} does not correspond to "
-                    f"{_format_key(_key(v), texts)!r}")
+            return f"{label1(parts)!r} does not correspond to {label2(v)!r}"
 
-    sides = _model_side(model1, n, a1), _model_side(model2, n, a2)
-    ids1, ids2, mismatch = _walk(*sides, depth, check)
+    ids1, ids2, mismatch = _walk((root1, children1), (root2, children2), depth, check)
     if mismatch is not None:
         # a vertex not yet paired is the next one its side would discover
         mismatch = mismatch._replace(vertex1=ids1.get(mismatch.vertex1, len(ids1)),

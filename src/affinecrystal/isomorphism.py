@@ -16,7 +16,7 @@ from .arms import horizontal_arm, is_regular
 from .errors import NotAddable, NotRegular
 from .monomial_crystal import Monomial, _canonical, _residues, e_m, f_m, mult_a
 from .partition_crystal import box_order_gt, e_up, f_down
-from .partitions import Box, Partition, check_rank, content, height, residue
+from .partitions import Box, Partition, _color, check_rank, content, height, residue
 
 
 def partition_to_monomial(lam: Partition, n: int) -> Monomial:
@@ -133,7 +133,7 @@ def check_corner_order_rules(lam: Partition, i: int, n: int) -> CornerRuleReport
     a = horizontal_arm(n)
     if not is_regular(lam, a):
         raise NotRegular(f"{lam} has an illegal box for the horizontal sequence")
-    i %= n
+    i = _color(a, i)
     adds = [b for b in lam.addable_boxes() if residue(b, n) == i]
     rems = [b for b in lam.removable_boxes() if residue(b, n) == i]
     report = CornerRuleReport(lam, i, [])

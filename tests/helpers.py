@@ -384,3 +384,41 @@ def oracle_valid_tables(n: int, horizon: int) -> list[tuple[int, ...]]:
             if all(value - table[s - 1] - table[t - s - 1] in (0, 1) for s in range(1, t))
         ]
     return tables
+
+
+def oracle_good_node(parts, i, n, increasing):
+    """Kleshchev's good-node rule, the Misra-Miwa crystal and its conjugate.
+
+    Lists the addable (+) and removable (-) nodes of residue i by content,
+    increasing for A_t = t - 1 and decreasing for A_t = (n - 1) t, and
+    cancels each adjacent "- +" pair until none is left.  Returns (f, e):
+    ``parts`` with the last uncancelled + added and with the first
+    uncancelled - removed, each None when there is no such node.
+    """
+    rows = list(parts)
+    nodes = []  # (content, sign, 0-based row)
+    for r in range(len(rows) + 1):
+        p = rows[r] if r < len(rows) else 0
+        if r == 0 or rows[r - 1] > p:
+            nodes.append((p - r, "+", r))
+        if p and (r + 1 == len(rows) or rows[r + 1] < p):
+            nodes.append((p - r - 1, "-", r))
+    nodes = sorted(node for node in nodes if node[0] % n == i)
+    if not increasing:
+        nodes.reverse()
+    kept = []
+    for node in nodes:
+        if node[1] == "+" and kept and kept[-1][1] == "-":
+            kept.pop()
+        else:
+            kept.append(node)
+    pluses = [r for _, sign, r in kept if sign == "+"]
+    minuses = [r for _, sign, r in kept if sign == "-"]
+    f = e = None
+    if pluses:
+        r = pluses[-1]
+        f = tuple(rows[:r] + [rows[r] + 1 if r < len(rows) else 1] + rows[r + 1:])
+    if minuses:
+        r = minuses[0]
+        e = tuple(p for p in rows[:r] + [rows[r] - 1] + rows[r + 1:] if p)
+    return f, e

@@ -204,7 +204,8 @@ class TestCompare:
             )
             assert (code, out) == (2, "")
             assert err.splitlines() == [
-                "error: use_psi needs the partition model, then the monomial one"]
+                "error: the corner-map check needs the partition model first and the "
+                "monomial one second (--model partition --model2 monomial; model1, model2)"]
 
 
 class TestCount:
@@ -427,7 +428,7 @@ class TestCeilings:
         def refuse(*args):
             raise AssertionError("BFS ran")
 
-        for name in ("_partition_bfs", "_monomial_bfs", "_walk"):
+        for name in ("_bfs", "_walk"):
             monkeypatch.setattr(graphs, name, refuse)
         for argv in (["--format", "json", "graph"],
                      ["--format", "json", "graph", "--model", "monomial"],

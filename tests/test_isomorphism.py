@@ -22,7 +22,7 @@ from affinecrystal import (
     stats,
     y,
 )
-from affinecrystal.errors import NotAddable, NotRegular, RankTooSmall
+from affinecrystal.errors import NotAddable, NotRegular, ParseError, RankTooSmall
 from helpers import (
     box_tokens_as_slots,
     cancel_matching_slot_pairs,
@@ -180,6 +180,13 @@ class TestCornerOrderRules:
     def test_refuses_irregular(self):
         with pytest.raises(NotRegular):
             check_corner_order_rules(Partition([2, 2]), 0, 3)
+
+    def test_non_int_color_refused(self):
+        # read like the operators' colors: a float, a string, None or a
+        # bool is a ParseError, not a vacuous report or a bare TypeError
+        for i in (0.0, 1.5, "0", None, True):
+            with pytest.raises(ParseError):
+                check_corner_order_rules(Partition([3, 1]), i, 3)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_randomized(self, n):

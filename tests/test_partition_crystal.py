@@ -6,6 +6,7 @@ import pytest
 from affinecrystal import (
     Box,
     Partition,
+    arm_from_values,
     bracket_string,
     box_order_gt,
     e_box,
@@ -24,6 +25,7 @@ from affinecrystal import (
 from affinecrystal._kernel_py import corner_tokens, horizontal_value
 from affinecrystal.errors import HorizonExceedsTable, ParseError, ResidueMismatch, SameBox
 from helpers import (
+    oracle_good_node,
     oracle_is_regular,
     oracle_partitions,
     oracle_precedes,
@@ -297,3 +299,30 @@ class TestClosure:
             lam for lam in seen if all(e_up(lam, i, a) is None for i in range(3))
         ]
         assert killed == [Partition()]
+
+
+class TestMisraMiwa:
+    """The least and the greatest arm sequences against their classical
+    crystals: Misra-Miwa on n-regular partitions, and its conjugate on
+    n-restricted ones."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_extreme_tables(self, n):
+        for values, increasing in (([t - 1 for t in range(1, 61)], True),
+                                   ([(n - 1) * t for t in range(1, 61)], False)):
+            a = arm_from_values(n, values)
+            for m in range(13):
+                for parts in oracle_partitions(m):
+                    lam = Partition(parts)
+                    if increasing:
+                        classical = all(parts.count(p) < n for p in parts)
+                    else:
+                        classical = all(p - q < n for p, q in zip(parts, parts[1:] + (0,)))
+                    assert is_regular(lam, a) == classical, (values[:3], parts)
+                    if not classical:
+                        continue
+                    for i in range(n):
+                        f, e = oracle_good_node(parts, i, n, increasing)
+                        got = [None if mu is None else mu.parts
+                               for mu in (f_down(lam, i, a), e_up(lam, i, a))]
+                        assert got == [f, e], (values[:3], parts, i)

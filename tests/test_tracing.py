@@ -26,7 +26,7 @@ def test_tracer_installs_and_restores(monkeypatch):
     assert graphs.is_regular is original
 
 
-def test_partition_bfs_calls_kernel_once_per_vertex(monkeypatch):
+def test_bfs_calls_kernel_once_per_partition_vertex(monkeypatch):
     # one f_children call per expanded vertex, looked up on _backend.kernel
     # at call time; a BFS that bound the kernel at import time would bypass
     # the proxy (and the tracer) and count none
