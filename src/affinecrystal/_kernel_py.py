@@ -11,6 +11,7 @@ for :func:`f_children` and the ``Partition`` corner lists;
 """
 
 from functools import cmp_to_key
+from itertools import accumulate
 
 from .brackets import CLOSE, OPEN, scan
 from .errors import HorizonExceedsTable
@@ -167,20 +168,6 @@ def _illegal_arms(n, table, max_hook):
     return out
 
 
-def _row_illegal(p, legs, illegal_arm):
-    """True when a row of length p has an illegal box; scans left to right.
-
-    The box in column c + 1 has arm p - 1 - c and leg legs[c], so its hook
-    is arm + legs[c] + 1.
-    """
-    a = p
-    for leg in legs[:p]:
-        a -= 1
-        if illegal_arm[a + leg + 1] == a:
-            return True
-    return False
-
-
 def columns(parts):
     """Column lengths of ``parts``, a list: the conjugate partition."""
     conj = []
@@ -228,37 +215,51 @@ def regular_counts(n, table, max_size):
     """Number of regular partitions of each size 0..max_size.
 
     Removing the first row of a regular partition leaves a regular
-    partition, so every regular partition is grown from the empty one by
-    prepending rows p >= the current first part, each checked with
-    :func:`_row_illegal` against the rows already placed.  A prepended row
-    that has an illegal box is pruned with everything above it.
+    partition, so every regular partition grows from the empty one by
+    prepending rows p >= the current first part.  Over placed rows
+    r_0 <= ... <= r_(m-1) the column legs do not increase, so the columns
+    of leg d are [r_(m-d-1), r_(m-d)), with r_(-1) = 0 and no upper end
+    for d = 0.  A box of leg d = n t - 1 - A_t and arm A_t is illegal, so
+    each such rule with d <= m forbids the lengths
+    [r_(m-d-1) + A_t + 1, r_(m-d) + A_t + 1) for the new row.  Only rows
+    p <= (max_size - size) // 2 can take another row above them; every
+    run of legal longer rows is counted at once in a difference array.
     """
     if table is not None and max_size >= n * (len(table) + 1):
         # the one-row partition of that size has hook n * (horizon + 1)
         # at (1, 1); below that size every hook is within the table
         raise HorizonExceedsTable(len(table) + 1, len(table))
-    illegal_arm = _illegal_arms(n, table, max_size)
-    counts = [1] + [0] * max_size
-    below = [0] * max_size
-    rows = []  # placed parts, last row first
-    size = 0
-    choices = [iter(range(1, max_size + 1))]  # next row candidates per depth
-    while choices:
-        for p in choices[-1]:
-            if not _row_illegal(p, below, illegal_arm):
+    rules = []  # (leg d, arm + 1) of each illegal box shape, by leg
+    for t in range(1, max_size // n + 1):
+        a = arm_value(t, n, table)
+        if 0 <= a < n * t:  # else no box has arm a and hook n t
+            rules.append((n * t - 1 - a, a + 1))
+    rules.sort()
+    diff = [1, -1] + [0] * max_size  # counts[k] is the sum of diff[:k + 1]
+    rows = [0]  # r_(-1) = 0, then the placed rows, the bottom row first
+
+    def grow(size, m):
+        room = max_size - size
+        cuts = []
+        for d, a1 in rules:
+            if d > m:
                 break
-        else:
-            choices.pop()
-            if rows:
-                p = rows.pop()
-                size -= p
-                for c in range(p):
-                    below[c] -= 1
-            continue
-        for c in range(p):
-            below[c] += 1
-        rows.append(p)
-        size += p
-        counts[size] += 1
-        choices.append(iter(range(p, max_size - size + 1)))
-    return counts
+            lo = rows[m - d] + a1
+            if lo <= room:
+                cuts.append((lo, rows[m - d + 1] + a1 if d else room + 1))
+        cuts.sort()
+        cuts.append((room + 1, 0))
+        p = rows[m] or 1
+        for lo, hi in cuts:
+            if lo > p:  # the rows p..lo - 1 are legal
+                diff[size + p] += 1
+                diff[size + lo] -= 1
+                for q in range(p, min(lo, room // 2 + 1)):
+                    rows.append(q)
+                    grow(size + q, m + 1)
+                    rows.pop()
+            if hi > p:
+                p = hi
+
+    grow(0, 0)
+    return list(accumulate(diff[:-1]))

@@ -48,9 +48,10 @@ class ArmSequence:
     """Rank ``n`` plus a provider for the values ``A_t``.
 
     ``values is None`` means the horizontal formula; otherwise a finite
-    table defined for ``1 <= t <= len(values)``.  ``descriptor`` records
-    how the sequence was obtained ("horizontal", "file:PATH",
-    "random:SEED:T") and travels into exported graphs.
+    table of ints (ParseError for any other type, bools included) defined
+    for ``1 <= t <= len(values)``.  ``descriptor`` records how the
+    sequence was obtained ("horizontal", "file:PATH", "random:SEED:T") and
+    travels into exported graphs.
     """
 
     __slots__ = ("n", "values", "descriptor")
@@ -58,8 +59,13 @@ class ArmSequence:
     def __init__(self, n: int, values: Sequence[int] | None = None,
                  descriptor: str | None = None):
         check_rank(n)
+        if values is not None:
+            values = tuple(values)
+            for t, v in enumerate(values, 1):
+                if type(v) is not int:  # bools included
+                    raise ParseError(f"arm value A_{t} = {v!r} is not an int")
         self.n = n
-        self.values = None if values is None else tuple(values)
+        self.values = values
         self.descriptor = descriptor
 
     @property

@@ -34,9 +34,9 @@ from .partitions import partitions_of_size  # noqa: F401 (patched by the tracer)
 PARTITION_MODEL = "partition"
 MONOMIAL_MODEL = "monomial"
 
-# largest size count_regular accepts.  The work grows about 6-7x per 10
-# sizes: on a 2-core x86 host n = 3 takes 0.6 s and n = 6 2.2 s at size 50,
-# so size 100 is hours of work, while the lists stay small
+# largest size count_regular accepts.  The work grows about 4x per 10
+# sizes: on a 2-core x86 host size 50 takes 0.18 s at n = 3 and 0.4 s at
+# n = 6, and size 100 took 61 s at n = 3, while the lists stay small
 MAX_COUNT_SIZE = 100
 
 # most vertices a graph or a walk may reach.  On a 2-core x86 host the
@@ -351,8 +351,9 @@ def count_regular(n: int, a: ArmSequence, max_size: int) -> list[int]:
     A box's hook (arm + leg + 1) depends only on its own row and the rows
     below it, so removing the first row of a regular partition leaves a
     regular partition.  The count therefore grows partitions from the last
-    row upward and checks only the boxes of each new first row; a row with
-    an illegal box is pruned together with every partition above it.
+    row upward.  Each rule "leg n t - 1 - A_t, arm A_t" forbids one
+    interval of lengths for the new first row, so no box is scanned, and
+    the rows too long to take another row above are counted in bulk.
 
     A table-backed ``a`` of horizon H covers every hook below n (H + 1).
     For max_size >= n (H + 1) the one-row partition (n (H + 1)) needs

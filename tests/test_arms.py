@@ -4,6 +4,7 @@ import random
 import pytest
 
 from affinecrystal import (
+    ArmSequence,
     ArmViolation,
     Box,
     Partition,
@@ -128,6 +129,13 @@ class TestTables:
         raw = unchecked_arm(3, (1, 2))
         with pytest.raises(HorizonExceedsTable):
             validate_arm(raw, 3)
+
+    @pytest.mark.parametrize("make", [unchecked_arm, arm_from_values, ArmSequence])
+    @pytest.mark.parametrize("bad", ["1", None, 1.0, 1.5, True])
+    def test_values_must_be_ints(self, make, bad):
+        # the bad value sits at t = 2, after a valid A_1
+        with pytest.raises(ParseError, match=r"A_2 = "):
+            make(3, [1, bad, 4])
 
 
 class TestEveryValidTable:

@@ -665,22 +665,34 @@ class TestCounting:
         for seed in (1, 2, 3):
             assert count_regular(n, random_arm(n, 40, seed), 30) == expected
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_against_brute_force(self, n):
-        # the unchecked table breaks the arm axioms, so its counts are not
+        # the unchecked tables break the arm axioms, so their counts are not
         # the closed form, but the row-by-row traversal must still be exact
         arms = [
             horizontal_arm(n),
             random_arm(n, 8, seed=n),
             unchecked_arm(n, [(3 * t) % (2 * n) for t in range(1, 9)]),
+            # the two extremes of axiom (i); (n - 1) t gives a leg-0 rule
+            unchecked_arm(n, [t - 1 for t in range(1, 61)]),
+            unchecked_arm(n, [(n - 1) * t for t in range(1, 61)]),
+            # no box has a negative arm, nor a hook n t with arm >= n t
+            unchecked_arm(n, [-1, 2, -3, 5, -2, 7, -1, 9]),
+            unchecked_arm(n, [n * t + t % 2 for t in range(1, 9)]),
         ]
+        levels = [[lam.parts for lam in partitions_of_size(m)] for m in range(19)]
         for a in arms:
-            expected = [
-                sum(1 for lam in partitions_of_size(m)
-                    if oracle_is_regular(lam.parts, n, a.value))
-                for m in range(15)
-            ]
-            assert count_regular(n, a, 14) == expected, a
+            expected = [sum(1 for parts in level if oracle_is_regular(parts, n, a.value))
+                        for level in levels]
+            assert count_regular(n, a, 18) == expected, a
+        # no box is illegal under the last table
+        assert expected == [len(level) for level in levels]
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_closed_form_size_50(self, n):
+        expected = oracle_regular_counts(n, 50)
+        assert count_regular(n, horizontal_arm(n), 50) == expected
+        assert count_regular(n, random_arm(n, 60, seed=n), 50) == expected
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("horizon", [2, 3])
