@@ -132,7 +132,6 @@ def validate_arm(a: ArmSequence, horizon: int) -> list[ArmViolation]:
             lo = a.value(t) + a.value(u)
             if a.value(t + u) not in (lo, lo + 1):
                 bad.append(ArmViolation(2, t, u))
-    bad.sort(key=lambda v: (v.axiom, v.t, v.u if v.u is not None else 0))
     return bad
 
 

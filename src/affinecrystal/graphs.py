@@ -21,7 +21,7 @@ from .errors import (
     RankMismatch,
     UnknownChoice,
 )
-from .monomial_crystal import _bump, _FactorTexts, _format_key, _key, _phi_q
+from .monomial_crystal import _monomial_side
 from .partitions import _format_parts, _trusted, check_rank
 
 # unused here; perfbench/tracing.py patches these five names on this module
@@ -160,52 +160,6 @@ def _bfs(root, children, label, depth):
     return vertices, edges
 
 
-def _monomial_root(n):
-    """Y(0,0) as a monomial vertex: the per-residue form ``Monomial`` holds,
-    residue i with its (k, u) terms by increasing k."""
-    return (((0, 1),),) + ((),) * (n - 1)
-
-
-def _monomial_step(n):
-    """``children(v)``: [f_0(v), ..., f_(n-1)(v)] in analytic mode on
-    monomial vertices, None where f_i annihilates.
-
-    f_i multiplies by A(i, q + 1)^-1, which changes residues i and i +- 1
-    only, so a child shares the other residues' tuples with v.  Two memos,
-    living as long as the returned closure, give each residue's part:
-    ``lowered[terms]`` is None or (q + 1, terms Y(i,q)^-1 Y(i,q+2)^-1), and
-    ``raised[terms, k]`` is terms Y(j,k).
-    """
-    lowered = {}
-    raised = {}
-    neighbours = [((i + 1) % n, (i - 1) % n) for i in range(n)]
-
-    def children(v):
-        out = []
-        for i, terms in enumerate(v):
-            try:
-                low = lowered[terms]
-            except KeyError:
-                q = _phi_q(terms)[1]
-                low = lowered[terms] = (
-                    None if q is None else (q + 1, _bump(_bump(terms, q, -1), q + 2, -1)))
-            if low is None:
-                out.append(None)
-                continue
-            child = list(v)
-            k, child[i] = low
-            for j in neighbours[i]:
-                key = (v[j], k)
-                up = raised.get(key)
-                if up is None:
-                    up = raised[key] = _bump(v[j], k, 1)
-                child[j] = up
-            out.append(tuple(child))
-        return out
-
-    return children
-
-
 class GraphMismatch(NamedTuple):
     """First divergence found by the synchronized traversal."""
 
@@ -278,8 +232,7 @@ def _model_side(model, n, a):
         table, f_children = _partition_arm(n, a).values, _backend.kernel.f_children
         return (), lambda parts: f_children(parts, n, table), _format_parts
     if model == MONOMIAL_MODEL:
-        texts = _FactorTexts()
-        return _monomial_root(n), _monomial_step(n), lambda v: _format_key(_key(v), texts)
+        return _monomial_side(n)
     raise UnknownChoice(f"unknown model {model!r}")
 
 

@@ -2,7 +2,10 @@
 
 A monomial is a finitely supported exponent map (residue i, integer k) ->
 nonzero integer, held as n tuples: residue i holds its (k, u) terms by
-increasing k.  The operators multiply by
+increasing k.  This module owns that per-residue format: ``Monomial``
+stores it, and :func:`_monomial_side` gives the root, the lowering and the
+labels that the graph BFS and the synchronized walk run on it.  The
+operators multiply by
 
     A(i,k) = Y(i,k-1) Y(i,k+1) Y(i+1,k)^-1 Y(i-1,k)^-1
 
@@ -17,7 +20,6 @@ only residues i and i +- 1.
 from __future__ import annotations
 
 import re
-from itertools import chain
 from typing import NamedTuple
 
 from .brackets import CLOSE, OPEN, BracketString
@@ -68,15 +70,11 @@ class Monomial:
 
     def factors(self) -> tuple[tuple[tuple[int, int], int], ...]:
         """((i, k), u) pairs sorted by decreasing k, then increasing i."""
-        key = _key(self._res)
-        return tuple(((i, -nk), u) for nk, i, u in zip(key[::3], key[1::3], key[2::3]))
+        return tuple(((i, -nk), u) for nk, i, u in _factors(self._res))
 
     def support(self, i: int) -> list[int]:
         """The k with nonzero exponent at residue i, increasing."""
         return [k for k, _ in self._res[_color(self, i)]]
-
-    def is_one(self) -> bool:
-        return not any(self._res)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
@@ -153,10 +151,10 @@ def _int_k(k) -> int:
     return k
 
 
-def _key(res) -> tuple[int, ...]:
-    """Flat (-k, i, u, -k, i, u, ...) of a per-residue form, in factor order."""
-    return tuple(chain.from_iterable(sorted(
-        [(-k, i, u) for i, terms in enumerate(res) for k, u in terms])))
+def _factors(res) -> list[tuple[int, int, int]]:
+    """(-k, i, u) of every factor of a per-residue form, in factor order:
+    decreasing k, then increasing residue i."""
+    return sorted([(-k, i, u) for i, terms in enumerate(res) for k, u in terms])
 
 
 class _FactorTexts(dict):
@@ -168,13 +166,11 @@ class _FactorTexts(dict):
         return text
 
 
-def _format_key(key: tuple[int, ...], texts: _FactorTexts) -> str:
-    """Canonical text of the monomial whose :func:`_key` is ``key``.
-
-    A caller formatting many monomials passes one ``texts`` to all calls."""
-    if not key:
-        return "1"
-    return "*".join(map(texts.__getitem__, zip(key[::3], key[1::3], key[2::3])))
+def _format(res, texts: _FactorTexts) -> str:
+    """Canonical text of the per-residue form ``res``; ``1`` is the empty
+    product.  A caller formatting many monomials passes one ``texts`` to
+    all calls."""
+    return "*".join(map(texts.__getitem__, _factors(res))) or "1"
 
 
 def y(n: int, i: int, k: int, power: int = 1) -> Monomial:
@@ -250,7 +246,7 @@ def parse_monomial(text: str, n: int) -> Monomial:
 
 def format_monomial(m: Monomial) -> str:
     """Canonical text: factors by decreasing k then increasing residue."""
-    return _format_key(_key(m._res), _FactorTexts())
+    return _format(m._res, _FactorTexts())
 
 
 def mult_a(m: Monomial, i: int, k: int, sign: int = 1) -> Monomial:
@@ -378,3 +374,52 @@ def is_compatible(m: Monomial) -> bool:
             f"compatibility needs even rank, got n = {m.n}"
         )
     return all(k % 2 == i % 2 for i, terms in enumerate(m._res) for k, _ in terms)
+
+
+def _monomial_side(n: int):
+    """``(root, children, label)`` of the monomial crystal on per-residue
+    vertices, for the graph BFS and the synchronized walk: the root is
+    Y(0,0), ``children`` is :func:`_lowering` and ``label(v)`` is v's
+    canonical text."""
+    texts = _FactorTexts()
+    return (((0, 1),),) + ((),) * (n - 1), _lowering(n), lambda v: _format(v, texts)
+
+
+def _lowering(n: int):
+    """``children(v)``: [f_0(v), ..., f_(n-1)(v)] in analytic mode on
+    per-residue vertices, None where f_i annihilates.
+
+    f_i multiplies by A(i, q + 1)^-1, which changes residues i and i +- 1
+    only, so a child shares the other residues' tuples with v.  Two memos,
+    living as long as the returned closure, give each residue's part:
+    ``lowered[terms]`` is None or (q + 1, terms Y(i,q)^-1 Y(i,q+2)^-1), and
+    ``raised[terms, k]`` is terms Y(j,k).
+    """
+    lowered = {}
+    raised = {}
+    neighbours = [((i + 1) % n, (i - 1) % n) for i in range(n)]
+
+    def children(v):
+        out = []
+        for i, terms in enumerate(v):
+            try:
+                low = lowered[terms]
+            except KeyError:
+                q = _phi_q(terms)[1]
+                low = lowered[terms] = (
+                    None if q is None else (q + 1, _bump(_bump(terms, q, -1), q + 2, -1)))
+            if low is None:
+                out.append(None)
+                continue
+            child = list(v)
+            k, child[i] = low
+            for j in neighbours[i]:
+                key = (v[j], k)
+                up = raised.get(key)
+                if up is None:
+                    up = raised[key] = _bump(v[j], k, 1)
+                child[j] = up
+            out.append(tuple(child))
+        return out
+
+    return children

@@ -43,14 +43,19 @@ def oracle_hook(parts, row, col):
 
 
 def oracle_is_regular(parts, n, arm_value):
-    """Brute-force scan: no cell with hook n*t and arm A_t.
+    """No cell with hook n*t and arm A_t; ``arm_value`` maps t >= 1 to A_t.
 
-    ``arm_value`` maps t >= 1 to A_t.
+    Column lengths are counted from the rows once per partition, and a
+    cell's hook is arm + leg + 1.  Cells are read as :func:`oracle_cells`
+    lists them, top row first, left to right.
     """
-    for (r, c) in oracle_cells(parts):
-        h = oracle_hook(parts, r, c)
-        if h % n == 0 and oracle_arm(parts, r, c) == arm_value(h // n):
-            return False
+    columns = [sum(1 for p in parts if p >= c) for c in range(1, max(parts, default=0) + 1)]
+    for r, p in enumerate(parts, 1):
+        for c in range(1, p + 1):
+            arm = p - c
+            h = arm + columns[c - 1] - r + 1
+            if h % n == 0 and arm == arm_value(h // n):
+                return False
     return True
 
 

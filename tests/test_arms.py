@@ -113,6 +113,16 @@ class TestTables:
         raw = unchecked_arm(3, (1, 2, 5))
         assert validate_arm(raw, 3) == [ArmViolation(2, 1, 2)]
 
+    def test_validate_lists_mixed_violations_in_order(self):
+        # axiom (i) fails at t = 1 and 4, axiom (ii) at four pairs; every
+        # axiom (i) violation comes first, each axiom by t, then u
+        raw = unchecked_arm(3, (3, 2, 5, 9, 6))
+        assert validate_arm(raw, 5) == [
+            ArmViolation(1, 1), ArmViolation(1, 4),
+            ArmViolation(2, 1, 1), ArmViolation(2, 1, 4),
+            ArmViolation(2, 2, 2), ArmViolation(2, 2, 3),
+        ]
+
     def test_validate_horizon_one_only_checks_condition_one(self):
         # no decompositions exist at horizon 1
         raw = unchecked_arm(3, (2,))
@@ -312,6 +322,39 @@ class TestRegular:
                         expected = oracle_is_regular(lam.parts, n, a.value)
                         assert is_regular(lam, a) == expected
         del rng
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_oracle_matches_cell_scan(self, n):
+        # helpers.oracle_is_regular counts column lengths once; the cell
+        # scan recomputes each cell's hook and arm from the cell list.  The
+        # random table of horizon 2 raises for a hook 3 n, which sizes up
+        # to 12 reach at n = 3 and 4; both must raise on the same partitions
+        def cell_scan(parts, arm_value):
+            for (r, c) in oracle_cells(parts):
+                h = oracle_hook(parts, r, c)
+                if h % n == 0 and oracle_arm(parts, r, c) == arm_value(h // n):
+                    return False
+            return True
+
+        def outcome(check):
+            try:
+                return check()
+            except HorizonExceedsTable as exc:
+                return ("raises", exc.t)
+
+        arms = [horizontal_arm(n), random_arm(n, 2, seed=n),
+                unchecked_arm(n, [(3 * t) % (2 * n) for t in range(1, 9)])]
+        seen = []
+        for a in arms:
+            outcomes = set()
+            for m in range(13):
+                for parts in oracle_partitions(m):
+                    got = outcome(lambda: oracle_is_regular(parts, n, a.value))
+                    assert got == outcome(lambda: cell_scan(parts, a.value)), (a, parts)
+                    outcomes.add(got if type(got) is bool else "raises")
+            seen.append(outcomes)
+        assert seen[0] == seen[2] == {True, False}
+        assert seen[1] == ({True, False, "raises"} if n < 5 else {True, False})
 
 
 class TestDescriptors:

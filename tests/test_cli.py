@@ -241,6 +241,23 @@ class TestValidateArm:
         assert code == 1
         assert "axiom (ii) violated at (t=1, u=2)" in out
 
+    def test_mixed_violations_in_order(self, capsys, tmp_path):
+        path = tmp_path / "arm.txt"
+        path.write_text("3 2 5 9 6\n")
+        code, out, _ = run(
+            capsys, "--n", "3", "--arm", f"file:{path}",
+            "validate-arm", "--horizon", "5",
+        )
+        assert code == 1
+        assert out.splitlines() == [
+            "axiom (i) violated at t=1: A_t=3",
+            "axiom (i) violated at t=4: A_t=9",
+            "axiom (ii) violated at (t=1, u=1): A_2=2 vs A_1+A_1=6",
+            "axiom (ii) violated at (t=1, u=4): A_5=6 vs A_1+A_4=12",
+            "axiom (ii) violated at (t=2, u=2): A_4=9 vs A_2+A_2=4",
+            "axiom (ii) violated at (t=2, u=3): A_5=6 vs A_2+A_3=7",
+        ]
+
     def test_missing_file(self, capsys):
         code, _, err = run(
             capsys, "--n", "3", "--arm", "file:/does/not/exist",

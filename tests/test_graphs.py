@@ -5,6 +5,7 @@ import pytest
 
 import affinecrystal.graphs as graphs
 import affinecrystal.isomorphism as isomorphism
+import affinecrystal.monomial_crystal as monomial_crystal
 from affinecrystal import (
     CrystalGraph,
     Partition,
@@ -279,8 +280,10 @@ class TestMonomialBFS:
         # f_m, and the edge of that color leads to its label
         g = generate_graph("monomial", n, 10)
         out = g.out_edges()
-        children = graphs._monomial_step(n)
-        assert residue_form(parse_monomial(g.vertices[0], n)) == graphs._monomial_root(n)
+        root, _, text = monomial_crystal._monomial_side(n)
+        assert residue_form(parse_monomial(g.vertices[0], n)) == root
+        assert text(root) == g.vertices[0]
+        children = monomial_crystal._lowering(n)
         for v, label in enumerate(g.vertices):
             m = parse_monomial(label, n)
             for i, child in enumerate(children(residue_form(m))):
@@ -289,42 +292,21 @@ class TestMonomialBFS:
                     assert down is None
                     continue
                 assert child == down._res == residue_form(down)
+                assert text(child) == format_monomial(down)
                 if i in out[v]:
                     assert format_monomial(down) == g.vertices[out[v][i]]
-
-    def test_bump_matches_dict_arithmetic(self):
-        rng = random.Random(12)
-        cases = [((), 3, 1), ((), -2, -1), (((0, 1),), 0, -1), (((0, 1),), 0, 2),
-                 (((1, 1), (4, -2)), 0, 1), (((1, 1), (4, -2)), 2, -1),
-                 (((1, 1), (4, -2)), 5, 1), (((1, 1), (4, -2)), 4, 2),
-                 (((1, 1), (4, -2)), 1, -1)]
-        for _ in range(2000):
-            ks = sorted(rng.sample(range(-6, 7), rng.randrange(5)))
-            terms = tuple((k, rng.choice([-2, -1, 1, 2])) for k in ks)
-            cases.append((terms, rng.randrange(-7, 8), rng.choice([-2, -1, 1, 2])))
-        places = set()
-        for terms, k, u in cases:
-            exp = dict(terms)
-            exp[k] = exp.get(k, 0) + u
-            want = tuple(sorted((kk, uu) for kk, uu in exp.items() if uu))
-            assert graphs._bump(terms, k, u) == want
-            ks = [kk for kk, _ in terms]
-            places.add("empty" if not terms else "cancel" if exp[k] == 0
-                       else "front" if k < ks[0] else "end" if k > ks[-1]
-                       else "existing" if k in ks else "middle")
-        assert places == {"empty", "cancel", "front", "end", "existing", "middle"}
 
     def test_memos_live_one_call(self, monkeypatch):
         # each generate_graph and compare_models call starts with empty
         # memos, so a second call lowers every residue anew
         calls = []
-        original = graphs._phi_q
+        original = monomial_crystal._phi_q
 
         def phi_q(terms):
             calls.append(1)
             return original(terms)
 
-        monkeypatch.setattr(graphs, "_phi_q", phi_q)
+        monkeypatch.setattr(monomial_crystal, "_phi_q", phi_q)
         for run in (lambda: generate_graph("monomial", 4, 12),
                     lambda: compare_models(4, 12, "partition", "monomial", use_psi=True)):
             counts = []
@@ -336,16 +318,16 @@ class TestMonomialBFS:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_sorts_each_vertex_once(self, n, monkeypatch):
-        # _key sorts a child into its label only when the child is new;
+        # _factors sorts a child into its label only when the child is new;
         # the root is the one vertex sorted before the BFS starts
         calls = []
-        original = graphs._key
+        original = monomial_crystal._factors
 
-        def key(exp):
+        def factors(res):
             calls.append(1)
-            return original(exp)
+            return original(res)
 
-        monkeypatch.setattr(graphs, "_key", key)
+        monkeypatch.setattr(monomial_crystal, "_factors", factors)
         g = generate_graph("monomial", n, 12)
         assert len(calls) == 1 + (len(g.vertices) - 1)
 

@@ -29,7 +29,7 @@ from affinecrystal.errors import (
     UnknownChoice,
     ZeroExponent,
 )
-from affinecrystal.monomial_crystal import MAX_MONOMIAL_NUMBER
+from affinecrystal.monomial_crystal import MAX_MONOMIAL_NUMBER, _bump
 from helpers import (
     oracle_monomial_stats,
     oracle_mult_a,
@@ -404,3 +404,25 @@ class TestCanonicalForm:
                     results += 1
         # eleven results per draw, plus the f_m and e_m that act
         assert results > 150 * 11
+
+    def test_bump_matches_dict_arithmetic(self):
+        rng = random.Random(12)
+        cases = [((), 3, 1), ((), -2, -1), (((0, 1),), 0, -1), (((0, 1),), 0, 2),
+                 (((1, 1), (4, -2)), 0, 1), (((1, 1), (4, -2)), 2, -1),
+                 (((1, 1), (4, -2)), 5, 1), (((1, 1), (4, -2)), 4, 2),
+                 (((1, 1), (4, -2)), 1, -1)]
+        for _ in range(2000):
+            ks = sorted(rng.sample(range(-6, 7), rng.randrange(5)))
+            terms = tuple((k, rng.choice([-2, -1, 1, 2])) for k in ks)
+            cases.append((terms, rng.randrange(-7, 8), rng.choice([-2, -1, 1, 2])))
+        places = set()
+        for terms, k, u in cases:
+            exp = dict(terms)
+            exp[k] = exp.get(k, 0) + u
+            want = tuple(sorted((kk, uu) for kk, uu in exp.items() if uu))
+            assert _bump(terms, k, u) == want
+            ks = [kk for kk, _ in terms]
+            places.add("empty" if not terms else "cancel" if exp[k] == 0
+                       else "front" if k < ks[0] else "end" if k > ks[-1]
+                       else "existing" if k in ks else "middle")
+        assert places == {"empty", "cancel", "front", "end", "existing", "middle"}
