@@ -4,6 +4,12 @@ Raw part tuples in, raw part tuples out.  An arm sequence arrives as its
 value table, indexed from t = 1, or as None for the horizontal formula.
 High-level wrappers live in :mod:`affinecrystal.partition_crystal`.
 
+A corner is the token ``(height, -row, side)``: the box (row, col) has
+height row + col - 1, so col = height - row + 1, and ``side`` is OPEN for
+an addable corner and CLOSE for a removable one.  No two corners share a
+height and a row, and at one height a higher row means a larger content,
+so the horizontal order, height then content descending, is the tokens'
+own order reversed.
 :func:`corners` reads every color's corners in one pass over the rows,
 for :func:`f_children` and the ``Partition`` corner lists;
 :func:`corner_tokens` reads one color's, for the single-color operators.
@@ -31,11 +37,6 @@ def arm_value(t, n, table):
     return table[t - 1]
 
 
-def _height_content(tok):
-    # height r + c - 1 and content c - r, each shifted by a constant
-    return tok[1] + tok[2], tok[2] - tok[1]
-
-
 def precedes(r, c, r2, c2, n, table):
     """Whether the box (r2, c2) strictly precedes (r, c) in the arm order.
 
@@ -51,7 +52,7 @@ def precedes(r, c, r2, c2, n, table):
 
 
 def corner_tokens(parts, i, n, table):
-    """Residue-i corners as (side, row, col): OPEN addable, CLOSE removable.
+    """Residue-i corners as (height, -row, side): OPEN addable, CLOSE removable.
 
     Sorted so the list reads strictly decreasing in the arm-sequence order.
     """
@@ -61,28 +62,28 @@ def corner_tokens(parts, i, n, table):
     for r in range(1, length + 1):
         p = parts[r - 1]
         if (r == 1 or parts[r - 2] > p) and (p + 1 - r) % n == i:
-            toks.append((OPEN, r, p + 1))
+            toks.append((r + p, -r, OPEN))
         nxt = parts[r] if r < length else 0
         if p > nxt and (p - r) % n == i:
-            toks.append((CLOSE, r, p))
+            toks.append((r + p - 1, -r, CLOSE))
     if (1 - (length + 1)) % n == i:
-        toks.append((OPEN, length + 1, 1))
-    _sort_corners(toks, n, table)
+        toks.append((length + 1, -length - 1, OPEN))
+    if table is None:
+        toks.sort(reverse=True)
+    else:
+        toks.sort(key=_table_key(n, table))
     return toks
 
 
-def _sort_corners(toks, n, table):
-    """Sort one residue's corner tokens in place, decreasing in arm order."""
-    if table is None:
-        # the horizontal order: (height, content) descending, as
-        # partition_crystal.horizontal_key states it
-        toks.sort(key=_height_content, reverse=True)
-        return
+def _table_key(n, table):
+    """Sort key that puts corner tokens decreasing in the order of ``table``."""
 
     def cmp(a, b):
-        return -1 if precedes(b[1], b[2], a[1], a[2], n, table) else 1
+        # col = height + 1 - row, and the token holds -row
+        return -1 if precedes(-b[1], b[0] + 1 + b[1], -a[1], a[0] + 1 + a[1],
+                              n, table) else 1
 
-    toks.sort(key=cmp_to_key(cmp))
+    return cmp_to_key(cmp)
 
 
 def _add(parts, r):
@@ -104,7 +105,7 @@ def f_step(parts, i, n, table):
     _, _, _, first_open = scan(toks)
     if first_open < 0:
         return None
-    return _add(parts, toks[first_open][1])
+    return _add(parts, -toks[first_open][1])
 
 
 def e_step(parts, i, n, table):
@@ -113,7 +114,7 @@ def e_step(parts, i, n, table):
     _, _, last_close, _ = scan(toks)
     if last_close < 0:
         return None
-    return _remove(parts, toks[last_close][1])
+    return _remove(parts, -toks[last_close][1])
 
 
 def unmatched_counts(parts, i, n, table):
@@ -121,7 +122,7 @@ def unmatched_counts(parts, i, n, table):
 
 
 def corners(parts, n):
-    """n lists of corner tokens (side, row, col), one per residue, in row order.
+    """n lists of corner tokens (height, -row, side), one per residue, in row order.
 
     Row r gives its addable corner (OPEN) when the row above is longer,
     then its removable one (CLOSE) when the row below is shorter; the
@@ -132,11 +133,11 @@ def corners(parts, n):
     above = None  # the row above r, None for the first row
     for r, p in enumerate(parts, 1):
         if above is None or above > p:
-            buckets[(p + 1 - r) % n].append((OPEN, r, p + 1))
+            buckets[(p + 1 - r) % n].append((r + p, -r, OPEN))
         if p > (parts[r] if r < length else 0):
-            buckets[(p - r) % n].append((CLOSE, r, p))
+            buckets[(p - r) % n].append((r + p - 1, -r, CLOSE))
         above = p
-    buckets[-length % n].append((OPEN, length + 1, 1))
+    buckets[-length % n].append((length + 1, -length - 1, OPEN))
     return buckets
 
 
@@ -144,15 +145,28 @@ def f_children(parts, n, table):
     """[f_0(parts), ..., f_(n-1)(parts)], None where f_i annihilates.
 
     The :func:`corners` buckets hold each color's tokens in the order
-    :func:`corner_tokens` appends them; each bucket is sorted and scanned
-    in color order, so a table too short for some comparison raises
-    exactly as the per-color :func:`f_step` calls would.
+    :func:`corner_tokens` appends them; each bucket is sorted in color
+    order, so a table too short for some comparison raises exactly as the
+    per-color :func:`f_step` calls would.  The loop finds the leftmost
+    unmatched ``(`` as :func:`brackets.scan` does, which stays the
+    reference this is tested against.
     """
+    key = None if table is None else _table_key(n, table)
     children = []
     for toks in corners(parts, n):
-        _sort_corners(toks, n, table)
-        first_open = scan(toks)[3]
-        children.append(None if first_open < 0 else _add(parts, toks[first_open][1]))
+        if key is None:
+            toks.sort(reverse=True)
+        else:
+            toks.sort(key=key)
+        phi = 0
+        for tok in toks:
+            if tok[2] == OPEN:
+                if not phi:
+                    neg_row = tok[1]
+                phi += 1
+            elif phi:
+                phi -= 1
+        children.append(_add(parts, -neg_row) if phi else None)
     return children
 
 

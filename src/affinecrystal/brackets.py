@@ -20,14 +20,14 @@ CLOSE = ")"
 def scan(tokens) -> tuple[int, int, int, int]:
     """(eps, phi, rightmost unmatched ')', leftmost unmatched '(').
 
-    ``tok[0]`` is each token's side; a missing index is -1.  Cancelled
+    ``tok[-1]`` is each token's side; a missing index is -1.  Cancelled
     pairs nest, so the leftmost unmatched ``(`` is the one that last
     opened the depth from 0.
     """
     eps = phi = 0
     last_close = first_open = -1
     for idx, tok in enumerate(tokens):
-        if tok[0] == OPEN:
+        if tok[-1] == OPEN:
             if not phi:
                 first_open = idx
             phi += 1
@@ -56,10 +56,11 @@ class BracketString(NamedTuple):
     first_open: int
 
     @classmethod
-    def build(cls, tokens: list[tuple[str, Any]]) -> "BracketString":
+    def build(cls, tokens: list[tuple[Any, str]]) -> "BracketString":
+        """From (payload, side) tokens in their acting order."""
         return cls(
-            tuple(side for side, _ in tokens),
-            tuple(payload for _, payload in tokens),
+            tuple(side for _, side in tokens),
+            tuple(payload for payload, _ in tokens),
             *scan(tokens),
         )
 

@@ -22,7 +22,7 @@ from .errors import (
     UnknownChoice,
 )
 from .monomial_crystal import _monomial_side
-from .partitions import _format_parts, _trusted, check_rank
+from .partitions import MAX_RANK, _format_parts, _trusted, check_rank
 
 # unused here; perfbench/tracing.py patches these five names on this module
 from .arms import is_regular  # noqa: F401 (patched by the tracer)
@@ -279,13 +279,15 @@ def compare_graphs(g1: CrystalGraph, g2: CrystalGraph) -> GraphComparison:
     """Synchronized walk from the roots following equal-colored edges.
 
     Returns the vertex bijection when it is total and consistent, else the
-    first divergence.  Like every walk, it raises BoundOutOfRange once it
-    pairs more than MAX_GRAPH_VERTICES vertices.
+    first divergence.  Like every walk, it raises BoundOutOfRange for a
+    rank above MAX_RANK and once it pairs more than MAX_GRAPH_VERTICES
+    vertices.
     """
     if g1.n != g2.n:
         raise RankMismatch(f"ranks differ: {g1.n} vs {g2.n}")
     if g1.depth != g2.depth:
         raise DepthMismatch(f"depths differ: {g1.depth} vs {g2.depth}")
+    check_rank(g1.n)  # a vertex's children list has one entry per color
     # each level pairs a new vertex, so no walk has more levels than g1 vertices
     ids1, ids2, mismatch = _walk(_graph_side(g1), _graph_side(g2), len(g1.vertices))
     if mismatch is None and (len(ids1), len(ids2)) != (len(g1.vertices), len(g2.vertices)):
@@ -377,11 +379,11 @@ def _is_index(value, size: int) -> bool:
 def graph_from_json(text: str) -> CrystalGraph:
     """Inverse of :func:`export_json`.
 
-    Raises ParseError unless the model is a string, the depth an integer
-    >= 0 and the arm a string or null, vertex ids are exactly 0..V-1,
-    labels are strings, the root and every edge endpoint are vertex ids,
-    every color lies in 0..n-1, and no vertex has two out-edges of one
-    color.
+    Raises ParseError unless the rank is an integer in 3..MAX_RANK, the
+    model a string, the depth an integer >= 0 and the arm a string or
+    null, vertex ids are exactly 0..V-1, labels are strings, the root and
+    every edge endpoint are vertex ids, every color lies in 0..n-1, and no
+    vertex has two out-edges of one color.
     """
     try:
         doc = json.loads(text)
@@ -389,8 +391,8 @@ def graph_from_json(text: str) -> CrystalGraph:
         raise ParseError(f"bad graph JSON: {exc}") from None
     try:
         n = doc["n"]
-        if type(n) is not int or n < 3:
-            raise ParseError(f"graph rank must be an integer >= 3, got {n!r}")
+        if type(n) is not int or not 3 <= n <= MAX_RANK:
+            raise ParseError(f"graph rank must be an integer in 3..{MAX_RANK}, got {n!r}")
         model, depth, arm = doc["model"], doc["depth"], doc["arm"]
         if type(model) is not str:
             raise ParseError(f"graph model must be a string, got {model!r}")

@@ -321,7 +321,7 @@ def monomial_bracket_string(m: Monomial, i: int) -> BracketString:
     tokens = []
     for k, u in reversed(m._res[i]):
         side = OPEN if u > 0 else CLOSE
-        tokens.extend((side, (i, k)) for _ in range(abs(u)))
+        tokens.extend(((i, k), side) for _ in range(abs(u)))
     return BracketString.build(tokens)
 
 

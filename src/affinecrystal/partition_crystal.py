@@ -9,6 +9,11 @@ box of the rightmost unmatched ``)``.
 With the horizontal arm sequence the order collapses to "higher box first,
 then larger content" (:func:`horizontal_key`); the generic comparator
 remains the source of truth and the key is verified against it.
+
+The kernel writes each corner as the token ``(height, -row, side)``, so
+the horizontal order is the tokens' own order reversed, and a table arm
+sorts the same tokens with ``precedes``, reading col = height - row + 1.
+:func:`bracket_string` turns the tokens back into boxes.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ def horizontal_key(b: Box) -> tuple[int, int]:
 def bracket_string(lam: Partition, i: int, a: ArmSequence) -> BracketString:
     """All color-i corners of ``lam`` as an ordered, matched bracket string."""
     toks = _backend.kernel.corner_tokens(lam.parts, _color(a, i), a.n, a.values)
-    return BracketString.build([(side, Box(r, c)) for side, r, c in toks])
+    return BracketString.build([(Box(-nr, h + 1 + nr), side) for h, nr, side in toks])
 
 
 def f_down(lam: Partition, i: int, a: ArmSequence) -> Partition | None:

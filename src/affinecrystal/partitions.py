@@ -47,9 +47,20 @@ def height(b: Box) -> int:
     return b.row + b.col - 1
 
 
+# largest rank n accepted.  Every vertex holds or scans one entry per
+# residue, so work grows with n times the vertices: on a 2-core x86 host
+# `compare --use-psi` at n = 100, depth 33 (53,963 pairs) took 4.3 s and
+# peaked at 73 MB, and the monomial JSON graph 2.1 s and 121 MB, so at
+# MAX_GRAPH_VERTICES the ceiling allows about a minute and 1 GB
+MAX_RANK = 100
+
+
 def check_rank(n: int) -> None:
+    """RankTooSmall unless n is an int >= 3; BoundOutOfRange above MAX_RANK."""
     if type(n) is not int or n < 3:
         raise RankTooSmall(f"rank must be an int >= 3, got {n!r}")
+    if n > MAX_RANK:
+        raise BoundOutOfRange(f"rank {n} is above the ceiling of {MAX_RANK}")
 
 
 def _color(owner, i) -> int:
@@ -129,11 +140,13 @@ class Partition:
         One box per row that can grow, plus the new-row box below the
         diagram.  Always one more entry than :meth:`removable_boxes`.
         """
-        return [Box(r, c) for side, r, c in corners(self.parts, 1)[0] if side == OPEN]
+        return [Box(-nr, h + 1 + nr) for h, nr, side in corners(self.parts, 1)[0]
+                if side == OPEN]
 
     def removable_boxes(self) -> list[Box]:
         """Last box of each row strictly longer than the next, by row."""
-        return [Box(r, c) for side, r, c in corners(self.parts, 1)[0] if side == CLOSE]
+        return [Box(-nr, h + 1 + nr) for h, nr, side in corners(self.parts, 1)[0]
+                if side == CLOSE]
 
     def add_box(self, b: Box) -> "Partition":
         if b not in self.addable_boxes():

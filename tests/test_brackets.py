@@ -11,13 +11,13 @@ from helpers import oracle_scan
 @pytest.mark.parametrize("length", range(11))
 def test_scan_matches_reduction(length):
     for sides in product((OPEN, CLOSE), repeat=length):
-        tokens = [(side, idx) for idx, side in enumerate(sides)]
+        tokens = [(idx, side) for idx, side in enumerate(sides)]
         assert scan(tokens) == oracle_scan(sides), "".join(sides)
 
 
 def test_bracket_string_reports_scan():
     s = BracketString.build(
-        [(CLOSE, "a"), (OPEN, "b"), (CLOSE, "c"), (OPEN, "d"), (OPEN, "e")]
+        [("a", CLOSE), ("b", OPEN), ("c", CLOSE), ("d", OPEN), ("e", OPEN)]
     )
     assert str(s) == ")()(("
     assert (s.eps, s.phi) == (1, 2)

@@ -21,6 +21,22 @@ from helpers import oracle_arm, oracle_cells, oracle_hook, oracle_regular_counts
 BIG = "[11,7,4,2,1,1,1,1,1,1]"
 BIG_IMAGE = "Y(2,12)^-1*Y(2,10)*Y(1,9)^-1*Y(2,8)*Y(1,7)^-1*Y(1,5)*Y(3,5)"
 
+# (model, arm, format, sha256) of `--n 4 graph --depth 10`
+GOLDEN = [
+    ("partition", None, "json",
+     "ec2d6237d465f192b3baa15bbbcb50b64c58805681cf464ec6568406259ed65e"),
+    ("partition", None, "dot",
+     "d588fb6c3e50cb8583f2b16f7c710b23e5d2109339175e5cbea19789c1fe1de7"),
+    ("monomial", None, "json",
+     "e01180f6f6187a9754f3ef79872410f088c511fa40e0d11eb37b14587a81b78d"),
+    ("monomial", None, "dot",
+     "56bf96ad5534d5409471f9226ce877d852e84fdc17141585c013be44d8e479fd"),
+    ("partition", "random:1:40", "json",
+     "4a5f5918bef15cc550d9ebc956118c1b735b2aa31814d85f3d65fd7cf92cfbd1"),
+    ("partition", "random:1:40", "dot",
+     "a6b0f90681b407e75bedc7348b838655fc1ab9a5b2faa26effee3dab5a7947f5"),
+]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -133,24 +149,15 @@ class TestGraph:
         assert 'v0 [label="Y(0,0)"];' in out
 
     # sha256 of the output of the implementation before the monomial
-    # representation changed; factor order and formatting must not move
+    # representation changed; factor order and formatting must not move.
+    # The random-arm graph sorts its corners with the table comparator
     @pytest.mark.parametrize(
-        "model, fmt, digest",
-        [
-            ("partition", "json",
-             "ec2d6237d465f192b3baa15bbbcb50b64c58805681cf464ec6568406259ed65e"),
-            ("partition", "dot",
-             "d588fb6c3e50cb8583f2b16f7c710b23e5d2109339175e5cbea19789c1fe1de7"),
-            ("monomial", "json",
-             "e01180f6f6187a9754f3ef79872410f088c511fa40e0d11eb37b14587a81b78d"),
-            ("monomial", "dot",
-             "56bf96ad5534d5409471f9226ce877d852e84fdc17141585c013be44d8e479fd"),
-        ],
+        "model, arm, fmt, digest", GOLDEN, ids=["-".join(filter(None, c)) for c in GOLDEN]
     )
-    def test_golden_bytes(self, capsys, model, fmt, digest):
+    def test_golden_bytes(self, capsys, model, arm, fmt, digest):
         code, out, _ = run(
-            capsys, "--n", "4", "--format", fmt, "graph",
-            "--model", model, "--depth", "10",
+            capsys, "--n", "4", *(["--arm", arm] if arm else []), "--format", fmt,
+            "graph", "--model", model, "--depth", "10",
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -272,6 +279,18 @@ class TestUsage:
         code, _, err = run(capsys, "--n", "2", "count", "--max", "1")
         assert code == 2
         assert "at least 3" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["compare", "--model2", "monomial", "--depth", "1"], ["psi", "[1]"],
+         ["apply", "Y(0,0)", "f0"]],
+        ids=["compare", "psi", "apply"],
+    )
+    def test_huge_rank(self, capsys, command):
+        # refused before any per-residue list is allocated
+        code, out, err = run(capsys, "--n", str(10**19), *command)
+        assert code == 2 and out == ""
+        assert err == "error: rank 10000000000000000000 is above the ceiling of 100\n"
 
     @pytest.mark.parametrize(
         "argv",

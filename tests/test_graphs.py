@@ -441,6 +441,13 @@ class TestComparison:
                 generate_graph("partition", 3, 2), generate_graph("partition", 4, 2)
             )
 
+    def test_rank_ceiling(self):
+        # a hand-built record skips graph_from_json's check; without one the
+        # walk would list 10**19 colors for the root
+        g = CrystalGraph("partition", 10**19, 1, None, ["[]", "[1]"], [(0, 1, 0)])
+        with pytest.raises(BoundOutOfRange, match="ceiling"):
+            compare_graphs(g, g)
+
 
 class TestWalk:
     """The model walk against compare_graphs on the two generated graphs."""
@@ -751,6 +758,7 @@ class TestExport:
             lambda doc: doc["edges"].append(dict(doc["edges"][0], dst=2)),
             lambda doc: doc.update(root=len(doc["vertices"])),
             lambda doc: doc.update(n=2),
+            lambda doc: doc.update(n=10**19),
             lambda doc: doc.update(model=7),
             lambda doc: doc.update(depth="3"),
             lambda doc: doc.update(depth=-5),
@@ -762,8 +770,8 @@ class TestExport:
             "negative-id", "duplicate-id", "id-past-end", "string-id", "int-label",
             "dst-out-of-range", "negative-src", "color-n", "negative-color",
             "two-out-edges-one-color", "root-out-of-range", "rank-too-small",
-            "int-model", "string-depth", "negative-depth", "null-depth",
-            "float-depth", "int-arm",
+            "rank-past-ceiling", "int-model", "string-depth", "negative-depth",
+            "null-depth", "float-depth", "int-arm",
         ],
     )
     def test_malformed_graph_rejected(self, corrupt):

@@ -76,12 +76,16 @@ class TestCornerMap:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_against_corner_boxes(self, n):
+        merged = 0  # images where two corners share a factor Y(i, k)
         for m in range(13):
             for lam in partitions_of_size(m):
                 got = partition_to_monomial(lam, n)
                 expected = oracle_corner_monomial(lam, n)
                 assert got == expected and hash(got) == hash(expected), lam
                 assert got.factors() == expected.factors()
+                corners = len(lam.addable_boxes()) + len(lam.removable_boxes())
+                merged += len(got.factors()) < corners
+        assert merged > 0
 
     def test_exponent_sum_is_one(self):
         rng = random.Random(17)

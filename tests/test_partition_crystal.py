@@ -24,11 +24,13 @@ from affinecrystal import (
 )
 from affinecrystal._kernel_py import corner_tokens, horizontal_value
 from affinecrystal.errors import HorizonExceedsTable, ParseError, ResidueMismatch, SameBox
+from affinecrystal.graphs import compare_models
 from helpers import (
     oracle_good_node,
     oracle_is_regular,
     oracle_partitions,
     oracle_precedes,
+    oracle_regular_counts,
     oracle_scan,
     random_partition,
 )
@@ -103,8 +105,8 @@ class TestOrder:
                 for parts in oracle_partitions(m):
                     for i in range(n):
                         boxes = [
-                            Box(r, c)
-                            for _, r, c in corner_tokens(parts, i, n, a.values)
+                            Box(-nr, h + 1 + nr)
+                            for h, nr, _ in corner_tokens(parts, i, n, a.values)
                         ]
                         for x, z in combinations(range(len(boxes)), 2):
                             b, bp = boxes[z], boxes[x]
@@ -326,3 +328,13 @@ class TestMisraMiwa:
                         got = [None if mu is None else mu.parts
                                for mu in (f_down(lam, i, a), e_up(lam, i, a))]
                         assert got == [f, e], (values[:3], parts, i)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_deep_walk_against_monomial(self, n):
+        # far past the horizon-4 tables of TestEveryValidTable, both
+        # extremes give the monomial crystal level by level
+        for values in ([t - 1 for t in range(1, 61)], [(n - 1) * t for t in range(1, 61)]):
+            a = arm_from_values(n, values)
+            vertices, mismatch = compare_models(n, 20, "partition", "monomial", a)
+            assert mismatch is None, (values[:3], str(mismatch))
+            assert vertices == sum(oracle_regular_counts(n, 20))

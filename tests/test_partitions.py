@@ -17,6 +17,7 @@ from affinecrystal import (
     residue,
 )
 from affinecrystal.errors import (
+    BoundOutOfRange,
     BoxOutside,
     NonPositivePart,
     NotAddable,
@@ -25,6 +26,7 @@ from affinecrystal.errors import (
     ParseError,
     RankTooSmall,
 )
+from affinecrystal.partitions import MAX_RANK, check_rank
 from helpers import (
     oracle_arm,
     oracle_corners,
@@ -90,6 +92,14 @@ class TestBoxStats:
     def test_residue_rank(self):
         with pytest.raises(RankTooSmall):
             residue(Box(1, 1), 2)
+
+    def test_rank_ceiling(self):
+        check_rank(MAX_RANK)
+        for n in (MAX_RANK + 1, 10**19):
+            with pytest.raises(BoundOutOfRange, match="ceiling"):
+                check_rank(n)
+        with pytest.raises(BoundOutOfRange):
+            residue(Box(1, 1), 10**19)
 
     def test_arm(self):
         assert arm(WIDE, Box(3, 2)) == 3
