@@ -35,6 +35,9 @@ from .partitions import Box, Partition, arm, check_rank, hook
 # are quadratic in it, about 0.2 s at 1000 on a 2-core x86 host, while no
 # workload needs more than 100
 MAX_ARM_HORIZON = 1000
+# longest arm file read: 32 bytes per value, room for a sign, any value a
+# valid table holds at MAX_RANK and loose whitespace
+_ARM_FILE_BYTES = 32 * MAX_ARM_HORIZON
 
 
 def _check_horizon(horizon) -> None:
@@ -152,11 +155,15 @@ def arm_from_values(n: int, values: Iterable[int],
 def arm_from_file(n: int, path: str, validate: bool = True) -> ArmSequence:
     """Load whitespace-separated integers A_1 A_2 ... from a text file.
 
-    With ``validate`` false the table is loaded as is, for
-    :func:`validate_arm` to list every violation."""
+    A file over 32 bytes per value of the longest table raises
+    BoundOutOfRange unparsed.  With ``validate`` false the table is loaded
+    as is, for :func:`validate_arm` to list every violation."""
+    with open(path, "rb") as fh:
+        data = fh.read(_ARM_FILE_BYTES + 1)
+    if len(data) > _ARM_FILE_BYTES:
+        raise BoundOutOfRange(f"arm file {path} is longer than {_ARM_FILE_BYTES} bytes")
     try:
-        with open(path, encoding="utf-8") as fh:
-            values = [int(tok) for tok in fh.read().split()]
+        values = [int(tok) for tok in data.decode("utf-8").split()]
     except ValueError as exc:  # UnicodeDecodeError included
         raise ParseError(f"bad arm table in {path}: {exc}") from None
     make = arm_from_values if validate else unchecked_arm

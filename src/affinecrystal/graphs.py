@@ -379,15 +379,16 @@ def _is_index(value, size: int) -> bool:
 def graph_from_json(text: str) -> CrystalGraph:
     """Inverse of :func:`export_json`.
 
-    Raises ParseError unless the rank is an integer in 3..MAX_RANK, the
-    model a string, the depth an integer >= 0 and the arm a string or
-    null, vertex ids are exactly 0..V-1, labels are strings, the root and
-    every edge endpoint are vertex ids, every color lies in 0..n-1, and no
-    vertex has two out-edges of one color.
+    Raises ParseError for text the JSON decoder refuses, and unless the
+    rank is an integer in 3..MAX_RANK, the model a string, the depth an
+    integer >= 0 and the arm a string or null, vertex ids are exactly
+    0..V-1, labels are strings, the root and every edge endpoint are
+    vertex ids, every color lies in 0..n-1, and no vertex has two
+    out-edges of one color.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # an int too long, nesting too deep
         raise ParseError(f"bad graph JSON: {exc}") from None
     try:
         n = doc["n"]

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .arms import horizontal_arm, is_regular
 from .errors import NotAddable, NotRegular
-from .monomial_crystal import Monomial, _canonical, e_m, f_m, mult_a
+from .monomial_crystal import Monomial, _built, e_m, f_m, mult_a
 from .partition_crystal import box_order_gt, e_up, f_down
 from .partitions import Box, Partition, _color, check_rank, content, height, residue
 
@@ -27,7 +27,8 @@ def partition_to_monomial(lam: Partition, n: int) -> Monomial:
     removable one (content p-r, height r+p-1) when the row below is
     shorter; the new-row corner below the last row r has content -r and
     height r+1.  Each corner appends its (k, +-1) term to its residue's
-    list, and two terms at one (residue, k) are summed after the sort.
+    list, and ``monomial_crystal``'s builder sorts the lists and sums two
+    terms at one (residue, k).
     """
     check_rank(n)
     res = [[] for _ in range(n)]
@@ -42,28 +43,7 @@ def partition_to_monomial(lam: Partition, n: int) -> Monomial:
             res[(p - r) % n].append((r + p, -1))
         above = p
     res[-rows % n].append((rows, 1))
-    for i, terms in enumerate(res):
-        if len(terms) > 1:
-            terms.sort()
-            k0 = None
-            for k, _ in terms:
-                if k == k0:
-                    terms = _merged(terms)
-                    break
-                k0 = k
-        res[i] = tuple(terms)
-    return _canonical(n, tuple(res))
-
-
-def _merged(terms):
-    """Sorted (k, u) terms with the exponents of each k summed, zeros dropped."""
-    out = []
-    for k, u in terms:
-        if out and out[-1][0] == k:
-            u += out.pop()[1]
-        if u:
-            out.append((k, u))
-    return out
+    return _built(n, res)
 
 
 def check_add_box_factor(lam: Partition, b: Box, n: int) -> bool:

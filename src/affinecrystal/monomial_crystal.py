@@ -4,8 +4,9 @@ A monomial is a finitely supported exponent map (residue i, integer k) ->
 nonzero integer, held as n tuples: residue i holds its (k, u) terms by
 increasing k.  This module owns that per-residue format: ``Monomial``
 stores it, and :func:`_monomial_side` gives the root, the lowering and the
-labels that the graph BFS and the synchronized walk run on it.  The
-operators multiply by
+labels that the graph BFS and the synchronized walk run on it.  Its one
+builder, :func:`_built`, gives that form to the constructor, the parser,
+products and the corner map.  The operators multiply by
 
     A(i,k) = Y(i,k-1) Y(i,k+1) Y(i+1,k)^-1 Y(i-1,k)^-1
 
@@ -49,7 +50,7 @@ class Monomial:
 
     def __init__(self, n: int, exponents: dict | None = None):
         check_rank(n)
-        exp = {}
+        res = [[] for _ in range(n)]
         if exponents:
             for (i, k), u in exponents.items():
                 if type(i) is not int or type(k) is not int or type(u) is not int:
@@ -57,10 +58,9 @@ class Monomial:
                         f"factor Y({i!r},{k!r})^{u!r} needs an int residue, "
                         "k and exponent"
                     )
-                key = (i % n, k)
-                exp[key] = exp.get(key, 0) + u
+                res[i % n].append((k, u))
         _set_n(self, n)
-        _set_res(self, _residues(n, exp))
+        _set_res(self, _built(n, res)._res)
 
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
@@ -81,11 +81,7 @@ class Monomial:
             return NotImplemented
         if self.n != other.n:
             raise RankMismatch("cannot multiply monomials over different ranks")
-        res = list(self._res)
-        for i, terms in enumerate(other._res):
-            for k, u in terms:
-                res[i] = _bump(res[i], k, u)
-        return _canonical(self.n, tuple(res))
+        return _built(self.n, [[*a, *b] for a, b in zip(self._res, other._res)])
 
     def __pow__(self, e: int) -> "Monomial":
         return Monomial(self.n, {(i, k): u * e for i, terms in enumerate(self._res)
@@ -108,18 +104,6 @@ _set_n = Monomial.n.__set__
 _set_res = Monomial._res.__set__
 
 
-def _residues(n: int, exp: dict) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The per-residue form of an exponent dict with residues in [0, n);
-    zero exponents are dropped."""
-    res = [[] for _ in range(n)]
-    for (i, k), u in exp.items():
-        if u:
-            res[i].append((k, u))
-    for terms in res:
-        terms.sort()
-    return tuple(map(tuple, res))
-
-
 def _canonical(n: int, res: tuple) -> Monomial:
     """Wrap the per-residue form ``res`` without copying or checking it.
 
@@ -129,6 +113,28 @@ def _canonical(n: int, res: tuple) -> Monomial:
     _set_n(m, n)
     _set_res(m, res)
     return m
+
+
+def _built(n: int, res: list) -> Monomial:
+    """The monomial of n lists of int (k, u) terms in any order, for a valid
+    rank n.  Sorts each list in place, summing equal k and dropping zero
+    exponents only where a k repeats or an exponent is 0."""
+    for i, terms in enumerate(res):
+        terms.sort()
+        k0 = None
+        for k, u in terms:
+            if k == k0 or not u:
+                merged = []
+                for k, u in terms:
+                    if merged and merged[-1][0] == k:
+                        u += merged.pop()[1]
+                    if u:
+                        merged.append((k, u))
+                terms = merged
+                break
+            k0 = k
+        res[i] = tuple(terms)
+    return _canonical(n, tuple(res))
 
 
 def _bump(terms, k, u):
@@ -221,7 +227,7 @@ def parse_monomial(text: str, n: int) -> Monomial:
         return Monomial(n)
     if not text:
         raise ParseError("empty monomial text")
-    exp: dict[tuple[int, int], int] = {}
+    res = [[] for _ in range(n)]
     for term in text.split("*"):
         m = _TERM_RE.match(term)
         if m is None:
@@ -240,8 +246,8 @@ def parse_monomial(text: str, n: int) -> Monomial:
         u = 1 if m.group(3) is None else _number(m.group(3), "exponent")
         if u == 0:
             raise ZeroExponent(f"factor {term!r} has exponent 0")
-        exp[(i, k)] = exp.get((i, k), 0) + u
-    return Monomial(n, exp)
+        res[i].append((k, u))
+    return _built(n, res)
 
 
 def format_monomial(m: Monomial) -> str:

@@ -26,7 +26,7 @@ from affinecrystal import (
     validate_arm,
 )
 from affinecrystal import _kernel_py
-from affinecrystal.arms import horizontal_value, illegal_boxes
+from affinecrystal.arms import _ARM_FILE_BYTES, horizontal_value, illegal_boxes
 from affinecrystal.errors import (
     AxiomIIViolation,
     AxiomIViolation,
@@ -373,6 +373,15 @@ class TestDescriptors:
         assert a.values == (1, 3, 5, 7)
         assert a.descriptor == f"file:{path}"
         assert arm_from_descriptor(4, f"file:{path}").values == (1, 3, 5, 7)
+
+    def test_file_length_bound(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_text("1 3 5 7".ljust(_ARM_FILE_BYTES))
+        assert arm_from_file(4, str(path)).values == (1, 3, 5, 7)
+        # the tail past the bound is never parsed, so its bad token goes unread
+        path.write_text("1 " * (_ARM_FILE_BYTES // 2) + "x")
+        with pytest.raises(BoundOutOfRange):
+            arm_from_file(4, str(path))
 
     def test_bad_file(self, tmp_path):
         path = tmp_path / "table.txt"

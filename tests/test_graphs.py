@@ -744,6 +744,14 @@ class TestExport:
             graph_from_json('{"model": "partition"}')
 
     @pytest.mark.parametrize(
+        "text", ['{"n": ' + "9" * 5000 + "}", "[" * 100_000],
+        ids=["integer-past-digit-limit", "nesting-past-recursion-limit"],
+    )
+    def test_json_past_decoder_limits(self, text):
+        with pytest.raises(ParseError):
+            graph_from_json(text)
+
+    @pytest.mark.parametrize(
         "corrupt",
         [
             lambda doc: doc["vertices"][-1].update(id=-1),

@@ -29,7 +29,7 @@ from affinecrystal.errors import (
     UnknownChoice,
     ZeroExponent,
 )
-from affinecrystal.monomial_crystal import MAX_MONOMIAL_NUMBER, _bump
+from affinecrystal.monomial_crystal import MAX_MONOMIAL_NUMBER, _built, _bump
 from helpers import (
     oracle_monomial_stats,
     oracle_mult_a,
@@ -404,6 +404,34 @@ class TestCanonicalForm:
                     results += 1
         # eleven results per draw, plus the f_m and e_m that act
         assert results > 150 * 11
+
+    def test_built_matches_dict_arithmetic(self):
+        rng = random.Random(21)
+        cases = [[], [(2, 1)], [(0, 0)], [(-1, 1), (3, -2)], [(3, -2), (-1, 1)],
+                 [(1, 1), (1, 2)], [(4, -2), (1, 1), (1, -1)]]
+        for _ in range(2000):
+            cases.append([(rng.randrange(-4, 5), rng.choice([-2, -1, 0, 1, 2]))
+                          for _ in range(rng.randrange(5))])
+        kinds = set()
+        for terms in cases:
+            exp = {}
+            for k, u in terms:
+                exp[k] = exp.get(k, 0) + u
+            want = tuple(sorted((k, u) for k, u in exp.items() if u))
+            # the case's terms at residue 1, a shifted copy at residue 2
+            res = [[], list(terms), [(k + 10, u) for k, u in terms]]
+            m = _built(3, res)
+            assert_canonical(m, 3)
+            assert m._res == ((), want, tuple((k + 10, u) for k, u in want))
+            ks = [k for k, _ in terms]
+            repeated = {k for k in ks if ks.count(k) > 1}
+            kinds.add("empty" if not terms
+                      else "cancel" if any(exp[k] == 0 for k in repeated)
+                      else "sum" if repeated
+                      else "zero" if any(u == 0 for _, u in terms)
+                      else "one" if len(terms) == 1
+                      else "sorted" if ks == sorted(ks) else "unsorted")
+        assert kinds == {"empty", "one", "sorted", "unsorted", "sum", "cancel", "zero"}
 
     def test_bump_matches_dict_arithmetic(self):
         rng = random.Random(12)
