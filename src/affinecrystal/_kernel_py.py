@@ -2,6 +2,8 @@
 
 Raw part tuples in, raw part tuples out.  An arm sequence arrives as its
 value table, indexed from t = 1, or as None for the horizontal formula.
+:func:`arm_value` is the one reader of a table: every A_t goes through it,
+and it alone raises HorizonExceedsTable past the table's end.
 High-level wrappers live in :mod:`affinecrystal.partition_crystal`.
 
 A corner is the token ``(height, -row, side)``: the box (row, col) has
@@ -170,18 +172,6 @@ def f_children(parts, n, table):
     return children
 
 
-def _illegal_arms(n, table, max_hook):
-    """List indexed by hook h <= max_hook: A_(h/n) when n divides h, else -1.
-
-    That is the one arm that makes a box of hook h illegal.  A table must
-    cover every t <= max_hook / n.
-    """
-    out = [-1] * (max_hook + 1)
-    for t in range(1, max_hook // n + 1):
-        out[n * t] = arm_value(t, n, table)
-    return out
-
-
 def columns(parts):
     """Column lengths of ``parts``, a list: the conjugate partition."""
     conj = []
@@ -194,18 +184,11 @@ def illegal_boxes(parts, n, table):
     """(row, col, hook, arm) of every box with hook n*t and arm A_t.
 
     Yields in reading order, the top row first and each row left to
-    right, so a table too short for some box raises only when the scan
-    reaches it.
+    right.  Only a box whose hook is a multiple n t of n reads A_t, through
+    :func:`arm_value`, so a table too short for some box raises only when
+    the scan reaches it.
     """
-    if not parts:
-        return
     conj = columns(parts)
-    # no hook exceeds that of the box (1, 1); a table covers every hook
-    # below n * (horizon + 1), and a hook n*t past that needs A_t beyond it
-    top = parts[0] + len(parts) - 1
-    if table is not None:
-        top = min(top, n * (len(table) + 1) - 1)
-    illegal_arm = _illegal_arms(n, table, top)
     for r, p in enumerate(parts, 1):
         a = p
         # rows 1..r all reach every column of row r, so the box in column
@@ -213,10 +196,7 @@ def illegal_boxes(parts, n, table):
         for leg in conj[:p]:
             a -= 1
             h = a + leg - r + 1
-            if h > top:
-                if h % n == 0:
-                    raise HorizonExceedsTable(h // n, len(table))
-            elif illegal_arm[h] == a:
+            if h % n == 0 and arm_value(h // n, n, table) == a:
                 yield r, p - a, h, a
 
 
@@ -238,11 +218,10 @@ def regular_counts(n, table, max_size):
     [r_(m-d-1) + A_t + 1, r_(m-d) + A_t + 1) for the new row.  Only rows
     p <= (max_size - size) // 2 can take another row above them; every
     run of legal longer rows is counted at once in a difference array.
+    The rules read A_t for t <= max_size // n through :func:`arm_value`
+    before any row is placed, so a table of horizon H with
+    max_size >= n (H + 1) fails there, on A_(H+1), at once.
     """
-    if table is not None and max_size >= n * (len(table) + 1):
-        # the one-row partition of that size has hook n * (horizon + 1)
-        # at (1, 1); below that size every hook is within the table
-        raise HorizonExceedsTable(len(table) + 1, len(table))
     rules = []  # (leg d, arm + 1) of each illegal box shape, by leg
     for t in range(1, max_size // n + 1):
         a = arm_value(t, n, table)

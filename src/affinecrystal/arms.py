@@ -81,9 +81,6 @@ class ArmSequence:
             raise BoundOutOfRange(f"arm sequences start at t = 1, got {t}")
         return arm_value(t, self.n, self.values)
 
-    def __getitem__(self, t: int) -> int:
-        return self.value(t)
-
     def __repr__(self):
         if self.descriptor:
             return f"ArmSequence(n={self.n}, {self.descriptor!r})"

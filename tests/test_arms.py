@@ -263,12 +263,27 @@ class TestIllegalBoxes:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_against_brute_force(self, n):
-        arms_ = [horizontal_arm(n), random_arm(n, 12, n)]
+        # the unchecked table holds A_2 < 0 and A_3 >= 3 n, which no arm of
+        # hook n t equals; the short one lacks the A_2 that a hook 2 n
+        # needs, and both scans raise at the first box in reading order
+        def outcome(fn):
+            try:
+                return fn()
+            except HorizonExceedsTable as exc:
+                return (exc.t, exc.horizon)
+
+        arms_ = [horizontal_arm(n), random_arm(n, 12, n),
+                 unchecked_arm(n, [0, -1, 3 * n + 1, 2]), random_arm(n, 1, n)]
+        seen = set()
         for m in range(11):
             for parts in oracle_partitions(m):
-                for a in arms_:
-                    want = self.brute_force(parts, a)
-                    assert illegal_boxes(Partition(parts), a) == want
+                for k, a in enumerate(arms_):
+                    want = outcome(lambda: self.brute_force(parts, a))
+                    assert outcome(lambda: illegal_boxes(Partition(parts), a)) == want
+                    if want:
+                        seen.add((k, type(want)))
+        # boxes under the unchecked table, A_2 requested of the short one
+        assert {(2, list), (3, tuple)} <= seen
 
     def test_matches_is_illegal_box(self):
         a = horizontal_arm(4)

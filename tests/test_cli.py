@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 import affinecrystal._kernel_py as _kernel_py
 import affinecrystal.cli as cli
 import affinecrystal.graphs as graphs
+import affinecrystal.isomorphism as isomorphism
 from affinecrystal import Partition, format_partition, graph_from_json
 from affinecrystal.arms import MAX_ARM_HORIZON, horizontal_value
 from affinecrystal.cli import main
-from affinecrystal.monomial_crystal import MAX_MONOMIAL_NUMBER
+from affinecrystal.monomial_crystal import MAX_MONOMIAL_NUMBER, one
 from affinecrystal.partitions import MAX_PARTITION_SIZE
 from helpers import oracle_arm, oracle_cells, oracle_hook, oracle_regular_counts
 
@@ -199,6 +200,21 @@ class TestCompare:
             code, out, _ = run(capsys, "--n", "4", "compare", "--model", models[0],
                                "--model2", models[1], *models[2:], "--depth", "10")
             assert (code, out) == (0, "isomorphic (105 vertices)\n")
+
+    def test_corner_map_mismatch_exits_one(self, capsys, monkeypatch):
+        # compare_models looks the corner map up at call time
+        real = isomorphism.partition_to_monomial
+        argv = ("--n", "3", "compare", "--model", "partition", "--model2", "monomial",
+                "--depth", "2", "--use-psi")
+        monkeypatch.setattr(isomorphism, "partition_to_monomial", lambda lam, n: one(n))
+        assert run(capsys, *argv) == (
+            1, "mismatch: label-mismatch at v0/v0: '[]' does not correspond to "
+               "'Y(0,0)'\n", "")
+        monkeypatch.setattr(isomorphism, "partition_to_monomial",
+                            lambda lam, n: one(n) if lam.parts == (1,) else real(lam, n))
+        assert run(capsys, *argv) == (
+            1, "mismatch: label-mismatch at v1/v1 color 0: '[1]' does not correspond "
+               "to 'Y(0,2)^-1*Y(1,1)*Y(2,1)'\n", "")
 
     def test_use_psi_needs_right_models(self, capsys):
         # the library's UnknownChoice, printed like every other usage error

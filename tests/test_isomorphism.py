@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import affinecrystal.isomorphism as isomorphism
 from affinecrystal import (
     Box,
     Partition,
@@ -199,6 +200,18 @@ class TestCornerOrderRules:
             lam = random_regular(rng, n, 25)
             for i in range(n):
                 assert check_corner_order_rules(lam, i, n).ok
+
+    @pytest.mark.parametrize("rule, parts, i", [
+        ("i", [2, 1], 1), ("ii", [3, 1, 1, 1], 0), ("iii", [2, 1], 1),
+        ("iv", [4, 2, 1], 1), ("v", [4, 3, 1], 1)])
+    def test_each_rule_fires_off_the_regular_set(self, monkeypatch, rule, parts, i):
+        # the rules need the regularity hypothesis: with the guard accepting
+        # every partition, each one fails on an irregular partition
+        lam = Partition(parts)
+        assert not is_regular(lam, horizontal_arm(3))
+        monkeypatch.setattr(isomorphism, "is_regular", lambda lam, a: True)
+        report = check_corner_order_rules(lam, i, 3)
+        assert rule in {v[0] for v in report.violations}
 
 
 class TestInjectivity:
