@@ -9,6 +9,7 @@ memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .arms import (
@@ -35,6 +36,10 @@ from .partition_crystal import e_up, f_down
 from .partitions import format_partition, parse_partition
 
 
+# built once per process, on the first main call: building it costs about
+# 1 ms, a fifth of a size-28 count, and parse_args leaves the parser as it
+# found it.  Not at import, so importing the library does not pay for it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="affinecrystal",

@@ -34,9 +34,9 @@ from .partitions import partitions_of_size  # noqa: F401 (patched by the tracer)
 PARTITION_MODEL = "partition"
 MONOMIAL_MODEL = "monomial"
 
-# largest size count_regular accepts.  The work grows about 4x per 10
-# sizes: on a 2-core x86 host size 50 takes 0.18 s at n = 3 and 0.4 s at
-# n = 6, and size 100 took 61 s at n = 3, while the lists stay small
+# largest size count_regular accepts.  The work grows about 3.3x per 10
+# sizes: on a 2-core x86 host size 50 takes 0.07 s at n = 3 and 0.14 s at
+# n = 6, and size 100 took 29 s at n = 3, while the lists stay small
 MAX_COUNT_SIZE = 100
 
 # most vertices a graph or a walk may reach.  On a 2-core x86 host the

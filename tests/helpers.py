@@ -391,6 +391,23 @@ def oracle_valid_tables(n: int, horizon: int) -> list[tuple[int, ...]]:
     return tables
 
 
+def oracle_random_arm(n: int, horizon: int, seed: int) -> tuple[int, ...]:
+    """The table ``random_arm(n, horizon, seed)`` draws, over every window.
+
+    Each A_t is drawn by ``random.Random(seed).randint`` from axiom (i)'s
+    range cut by the window [A_s + A_(t-s), A_s + A_(t-s) + 1] of every
+    split s = 1..t - 1, both halves of each pair included.
+    """
+    rng = random.Random(seed)
+    table: list[int] = []
+    for t in range(1, horizon + 1):
+        sums = [table[s - 1] + table[t - s - 1] for s in range(1, t)]
+        lo = max([t - 1] + sums)
+        hi = min([(n - 1) * t] + [v + 1 for v in sums])
+        table.append(rng.randint(lo, hi))
+    return tuple(table)
+
+
 def oracle_good_node(parts, i, n, increasing):
     """Kleshchev's good-node rule, the Misra-Miwa crystal and its conjugate.
 

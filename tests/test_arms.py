@@ -43,6 +43,7 @@ from helpers import (
     oracle_hook,
     oracle_is_regular,
     oracle_partitions,
+    oracle_random_arm,
     oracle_regular_counts,
     oracle_valid_tables,
 )
@@ -222,6 +223,14 @@ class TestRandomArm:
         for seed in range(40):
             a = random_arm(4, 1, seed)
             assert 0 <= a.value(1) <= 3
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_matches_full_window_oracle(self, n):
+        # random_arm reads each window A_s + A_(t-s) once, for s <= t // 2
+        for horizon in (1, 2, 3, 7, 40, 64, 200):
+            for seed in range(6):
+                assert random_arm(n, horizon, seed).values == \
+                    oracle_random_arm(n, horizon, seed), (horizon, seed)
 
     def test_validates(self):
         # the validator is the oracle

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -236,6 +237,54 @@ class TestCount:
         code, out, _ = run(capsys, "--n", "3", "count", "--max", "5")
         assert code == 0
         assert out.strip() == "1 1 2 2 4 5"
+
+
+class TestManyCalls:
+    def test_calls_share_one_parser_and_no_options(self, capsys, monkeypatch):
+        # the first call builds the parser, or finds it built by an earlier test
+        code, out, _ = run(capsys, "--n", "3", "--format", "json", "graph", "--depth", "2")
+        assert code == 0
+        assert json.loads(out)["depth"] == 2
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        # --format json does not carry into count, which needs text
+        assert run(capsys, "--n", "3", "count", "--max", "5") == (0, "1 1 2 2 4 5\n", "")
+        # --use-psi refuses partition against partition, so it must not carry
+        isomorphic = (0, "isomorphic (44 vertices)\n", "")
+        assert run(capsys, "--n", "3", "compare", "--model2", "monomial",
+                   "--depth", "8", "--use-psi") == isomorphic
+        assert run(capsys, "--n", "3", "compare", "--model2", "partition",
+                   "--depth", "8") == isomorphic
+        # an --arm2 table too short for depth 8, then the default
+        assert run(capsys, "--n", "3", "compare", "--model2", "partition",
+                   "--arm2", "random:1:1", "--depth", "8") == (
+            2, "", "error: A_2 requested but table only covers t <= 1\n")
+        assert run(capsys, "--n", "3", "compare", "--model2", "partition",
+                   "--depth", "8") == isomorphic
+        # a random: arm too short for [9], then the horizontal one
+        assert run(capsys, "--n", "3", "--arm", "random:1:2", "check", "[9]") == (
+            2, "", "error: A_3 requested but table only covers t <= 2\n")
+        assert run(capsys, "--n", "3", "check", "[9]") == (0, "regular\n", "")
+        # argparse exits, in the main parser's options and in a subparser's
+        for argv in (["--n", "3", "count"],
+                     ["--n", "3", "--format", "json", "graph", "--depth", "x"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
+        code, out, err = run(capsys, "--n", "4", "--arm", "random:1:64", "count", "--max", "28")
+        assert (code, err) == (0, "")
+        assert out.split()[-1] == "1539"  # Glaisher's coefficient of q^28
+        code, out, _ = run(capsys, "--n", "3", "--format", "json", "graph", "--depth", "2")
+        assert code == 0
+        assert json.loads(out)["depth"] == 2
+        assert built == []
 
 
 class TestValidateArm:

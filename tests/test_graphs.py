@@ -654,6 +654,17 @@ class TestCounting:
         for seed in (1, 2, 3):
             assert count_regular(n, random_arm(n, 40, seed), 30) == expected
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_closed_form_misra_miwa_extremes(self, n):
+        # the two ends of axiom (i): (n - 1) t gives a leg-0 rule, whose cut
+        # has no upper end, and t - 1 the longest runs of legal rows
+        expected = oracle_regular_counts(n, 40)
+        for values in ([t - 1 for t in range(1, 61)],
+                       [(n - 1) * t for t in range(1, 61)]):
+            a = unchecked_arm(n, values)
+            assert validate_arm(a, 60) == []
+            assert count_regular(n, a, 40) == expected, values[:2]
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_against_brute_force(self, n):
         # the unchecked tables break the arm axioms, so their counts are not
