@@ -105,7 +105,7 @@ def f_step(parts, i, n, table):
     """Add the box of the leftmost unmatched '(' or return None."""
     toks = corner_tokens(parts, i, n, table)
     _, _, _, first_open = scan(toks)
-    if first_open < 0:
+    if first_open is None:
         return None
     return _add(parts, -toks[first_open][1])
 
@@ -114,7 +114,7 @@ def e_step(parts, i, n, table):
     """Remove the box of the rightmost unmatched ')' or return None."""
     toks = corner_tokens(parts, i, n, table)
     _, _, last_close, _ = scan(toks)
-    if last_close < 0:
+    if last_close is None:
         return None
     return _remove(parts, -toks[last_close][1])
 

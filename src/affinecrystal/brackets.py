@@ -17,15 +17,15 @@ OPEN = "("
 CLOSE = ")"
 
 
-def scan(tokens) -> tuple[int, int, int, int]:
+def scan(tokens) -> tuple[int, int, int | None, int | None]:
     """(eps, phi, rightmost unmatched ')', leftmost unmatched '(').
 
-    ``tok[-1]`` is each token's side; a missing index is -1.  Cancelled
+    ``tok[-1]`` is each token's side; a missing index is None.  Cancelled
     pairs nest, so the leftmost unmatched ``(`` is the one that last
     opened the depth from 0.
     """
     eps = phi = 0
-    last_close = first_open = -1
+    last_close = first_open = None
     for idx, tok in enumerate(tokens):
         if tok[-1] == OPEN:
             if not phi:
@@ -36,7 +36,7 @@ def scan(tokens) -> tuple[int, int, int, int]:
         else:
             eps += 1
             last_close = idx
-    return eps, phi, last_close, first_open if phi else -1
+    return eps, phi, last_close, first_open if phi else None
 
 
 class BracketString(NamedTuple):
@@ -45,15 +45,16 @@ class BracketString(NamedTuple):
     ``payload`` is whatever the token stands for: a box for the partition
     model, a (residue, k) pair for the monomial model.  ``eps`` and
     ``phi`` count the unmatched ``)`` and ``(``; ``last_close`` and
-    ``first_open`` index the extreme unmatched ones, -1 when missing.
+    ``first_open`` index the extreme unmatched ones, None when missing,
+    so reading a missing one's payload raises.
     """
 
     sides: tuple[str, ...]
     payloads: tuple[Any, ...]
     eps: int
     phi: int
-    last_close: int
-    first_open: int
+    last_close: int | None
+    first_open: int | None
 
     @classmethod
     def build(cls, tokens: list[tuple[Any, str]]) -> "BracketString":
@@ -66,9 +67,3 @@ class BracketString(NamedTuple):
 
     def __str__(self):
         return "".join(self.sides)
-
-    def rightmost_unmatched_close(self) -> int | None:
-        return None if self.last_close < 0 else self.last_close
-
-    def leftmost_unmatched_open(self) -> int | None:
-        return None if self.first_open < 0 else self.first_open

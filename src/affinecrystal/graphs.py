@@ -443,4 +443,4 @@ def graph_from_json(text: str) -> CrystalGraph:
             root=root,
         )
     except (KeyError, IndexError, TypeError) as exc:
-        raise ParseError(f"graph JSON missing fields: {exc!r}") from None
+        raise ParseError(f"graph JSON missing or malformed field: {exc!r}") from None

@@ -43,7 +43,7 @@ def partition_to_monomial(lam: Partition, n: int) -> Monomial:
             res[(p - r) % n].append((r + p, -1))
         above = p
     res[-rows % n].append((rows, 1))
-    return _built(n, res)
+    return _built(res)
 
 
 def check_add_box_factor(lam: Partition, b: Box, n: int) -> bool:

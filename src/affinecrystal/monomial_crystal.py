@@ -41,12 +41,12 @@ class Monomial:
 
     The only stored state is the canonical per-residue form: n tuples,
     residue i holding its (k, u) terms by strictly increasing k, with no
-    zero exponent.  Equality and hashing use it, so monomials work as
-    dictionary keys.  The ordered factor tuple is built only on request,
-    by :meth:`factors`.
+    zero exponent; the rank n is read off as their count.  Equality and
+    hashing use it, so monomials work as dictionary keys.  The ordered
+    factor tuple is built only on request, by :meth:`factors`.
     """
 
-    __slots__ = ("n", "_res")
+    __slots__ = ("_res",)
 
     def __init__(self, n: int, exponents: dict | None = None):
         check_rank(n)
@@ -59,11 +59,15 @@ class Monomial:
                         "k and exponent"
                     )
                 res[i % n].append((k, u))
-        _set_n(self, n)
-        _set_res(self, _built(n, res)._res)
+        _set_res(self, _built(res)._res)
 
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
+
+    @property
+    def n(self) -> int:
+        """The rank: one stored tuple per residue."""
+        return len(self._res)
 
     def exponent(self, i: int, k: int) -> int:
         return dict(self._res[_color(self, i)]).get(_int_k(k), 0)
@@ -81,7 +85,7 @@ class Monomial:
             return NotImplemented
         if self.n != other.n:
             raise RankMismatch("cannot multiply monomials over different ranks")
-        return _built(self.n, [[*a, *b] for a, b in zip(self._res, other._res)])
+        return _built([[*a, *b] for a, b in zip(self._res, other._res)])
 
     def __pow__(self, e: int) -> "Monomial":
         return Monomial(self.n, {(i, k): u * e for i, terms in enumerate(self._res)
@@ -100,25 +104,23 @@ class Monomial:
         return format_monomial(self)
 
 
-_set_n = Monomial.n.__set__
 _set_res = Monomial._res.__set__
 
 
-def _canonical(n: int, res: tuple) -> Monomial:
+def _canonical(res: tuple) -> Monomial:
     """Wrap the per-residue form ``res`` without copying or checking it.
 
-    Callers guarantee a valid rank and a canonical ``res``: n tuples of
+    Callers guarantee a canonical ``res`` of a valid rank n: n tuples of
     (k, u) terms by strictly increasing k, with no zero exponent."""
     m = object.__new__(Monomial)
-    _set_n(m, n)
     _set_res(m, res)
     return m
 
 
-def _built(n: int, res: list) -> Monomial:
+def _built(res: list) -> Monomial:
     """The monomial of n lists of int (k, u) terms in any order, for a valid
-    rank n.  Sorts each list in place, summing equal k and dropping zero
-    exponents only where a k repeats or an exponent is 0."""
+    rank n = len(res).  Sorts each list in place, summing equal k and
+    dropping zero exponents only where a k repeats or an exponent is 0."""
     for i, terms in enumerate(res):
         terms.sort()
         k0 = None
@@ -134,7 +136,7 @@ def _built(n: int, res: list) -> Monomial:
                 break
             k0 = k
         res[i] = tuple(terms)
-    return _canonical(n, tuple(res))
+    return _canonical(tuple(res))
 
 
 def _bump(terms, k, u):
@@ -247,7 +249,7 @@ def parse_monomial(text: str, n: int) -> Monomial:
         if u == 0:
             raise ZeroExponent(f"factor {term!r} has exponent 0")
         res[i].append((k, u))
-    return _built(n, res)
+    return _built(res)
 
 
 def format_monomial(m: Monomial) -> str:
@@ -261,12 +263,13 @@ def mult_a(m: Monomial, i: int, k: int, sign: int = 1) -> Monomial:
     Only residues i and i +- 1 change; the others are shared with m."""
     if type(sign) is not int or sign not in (1, -1):
         raise UnknownChoice(f"sign must be +1 or -1, got {sign!r}")
-    n, i, k = m.n, _color(m, i), _int_k(k)
+    i, k = _color(m, i), _int_k(k)
     res = list(m._res)
+    n = len(res)
     res[i] = _bump(_bump(res[i], k - 1, sign), k + 1, sign)
     for j in ((i + 1) % n, (i - 1) % n):
         res[j] = _bump(res[j], k, -sign)
-    return _canonical(n, tuple(res))
+    return _canonical(tuple(res))
 
 
 def weight(m: Monomial) -> dict[int, int]:
@@ -345,10 +348,9 @@ def e_m(m: Monomial, i: int, mode: str = "analytic") -> Monomial | None:
             return None
         return mult_a(m, i, st.p - 1, +1)
     s = monomial_bracket_string(m, i)
-    idx = s.rightmost_unmatched_close()
-    if idx is None:
+    if s.last_close is None:
         return None
-    _, k = s.payloads[idx]
+    _, k = s.payloads[s.last_close]
     return mult_a(m, i, k - 1, +1)
 
 
@@ -361,10 +363,9 @@ def f_m(m: Monomial, i: int, mode: str = "analytic") -> Monomial | None:
             return None
         return mult_a(m, i, q + 1, -1)
     s = monomial_bracket_string(m, i)
-    idx = s.leftmost_unmatched_open()
-    if idx is None:
+    if s.first_open is None:
         return None
-    _, k = s.payloads[idx]
+    _, k = s.payloads[s.first_open]
     return mult_a(m, i, k + 1, -1)
 
 

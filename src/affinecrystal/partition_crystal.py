@@ -75,15 +75,13 @@ def eps_phi(lam: Partition, i: int, a: ArmSequence) -> tuple[int, int]:
 def f_box(lam: Partition, i: int, a: ArmSequence) -> Box | None:
     """The box :func:`f_down` would add (for reporting), or None."""
     s = bracket_string(lam, i, a)
-    idx = s.leftmost_unmatched_open()
-    return None if idx is None else s.payloads[idx]
+    return None if s.first_open is None else s.payloads[s.first_open]
 
 
 def e_box(lam: Partition, i: int, a: ArmSequence) -> Box | None:
     """The box :func:`e_up` would remove (for reporting), or None."""
     s = bracket_string(lam, i, a)
-    idx = s.rightmost_unmatched_close()
-    return None if idx is None else s.payloads[idx]
+    return None if s.last_close is None else s.payloads[s.last_close]
 
 
 __all__ = [

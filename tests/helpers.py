@@ -262,7 +262,7 @@ def oracle_scan(sides):
     """(eps, phi, rightmost unmatched ')', leftmost unmatched '(') by reduction.
 
     Tags each token with its index and deletes an adjacent '(' ')' pair
-    until none is left.  Missing indices are -1.
+    until none is left.  Missing indices are None.
     """
     rest = list(enumerate(sides))
     reduced = True
@@ -278,8 +278,8 @@ def oracle_scan(sides):
     return (
         len(closes),
         len(opens),
-        closes[-1] if closes else -1,
-        opens[0] if opens else -1,
+        closes[-1] if closes else None,
+        opens[0] if opens else None,
     )
 
 

@@ -139,10 +139,8 @@ def test_criterion_3_monomial_acting_positions():
     )
     for m in (base, padded, flanked):
         s = monomial_bracket_string(m, 1)
-        close = s.rightmost_unmatched_close()
-        assert s.payloads[close] == (1, 13)
-        opening = s.leftmost_unmatched_open()
-        assert s.payloads[opening] == (1, 9)
+        assert s.payloads[s.last_close] == (1, 13)
+        assert s.payloads[s.first_open] == (1, 9)
         for mode in ("analytic", "bracket"):
             assert e_m(m, 1, mode) == mult_a(m, 1, 12, +1)
             assert f_m(m, 1, mode) == mult_a(m, 1, 10, -1)

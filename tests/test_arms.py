@@ -390,6 +390,10 @@ class TestDescriptors:
         a = arm_from_descriptor(4, "random:7:20")
         assert a.values == random_arm(4, 20, 7).values
 
+    def test_repr(self):
+        assert repr(arm_from_descriptor(4, "random:7:20")) == "ArmSequence(n=4, 'random:7:20')"
+        assert repr(arm_from_values(4, [1, 3, 5])) == "ArmSequence(n=4, table of length 3)"
+
     def test_file(self, tmp_path):
         path = tmp_path / "table.txt"
         path.write_text("1 3 5\n7\n")

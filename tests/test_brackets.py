@@ -21,9 +21,11 @@ def test_bracket_string_reports_scan():
     )
     assert str(s) == ")()(("
     assert (s.eps, s.phi) == (1, 2)
-    assert s.rightmost_unmatched_close() == 0
-    assert s.leftmost_unmatched_open() == 3
+    assert (s.last_close, s.first_open) == (0, 3)
     empty = BracketString.build([])
     assert (empty.eps, empty.phi) == (0, 0)
-    assert empty.rightmost_unmatched_close() is None
-    assert empty.leftmost_unmatched_open() is None
+    assert empty.last_close is None
+    assert empty.first_open is None
+    # a missing position cannot be read as an index
+    with pytest.raises(TypeError):
+        empty.payloads[empty.first_open]

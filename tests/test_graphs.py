@@ -751,8 +751,11 @@ class TestExport:
     def test_bad_json(self):
         with pytest.raises(ParseError):
             graph_from_json("{not json")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="missing or malformed field"):
             graph_from_json('{"model": "partition"}')
+        for top in ("[]", '"x"', "null"):
+            with pytest.raises(ParseError, match="missing or malformed field"):
+                graph_from_json(top)
 
     @pytest.mark.parametrize(
         "text", ['{"n": ' + "9" * 5000 + "}", "[" * 100_000],
@@ -784,13 +787,23 @@ class TestExport:
             lambda doc: doc.update(depth=None),
             lambda doc: doc.update(depth=3.0),
             lambda doc: doc.update(arm=3),
+            lambda doc: doc.update(vertices=5),
+            lambda doc: doc.update(vertices=None),
+            lambda doc: doc.update(vertices="ab"),
+            lambda doc: doc.update(vertices={"a": 1}),
+            lambda doc: doc["vertices"].__setitem__(1, 5),
+            lambda doc: doc["vertices"].__setitem__(1, [0]),
+            lambda doc: doc.update(edges={"a": 1}),
+            lambda doc: doc["edges"].__setitem__(0, [0, 1, 0]),
         ],
         ids=[
             "negative-id", "duplicate-id", "id-past-end", "string-id", "int-label",
             "dst-out-of-range", "negative-src", "color-n", "negative-color",
             "two-out-edges-one-color", "root-out-of-range", "rank-too-small",
             "rank-past-ceiling", "int-model", "string-depth", "negative-depth",
-            "null-depth", "float-depth", "int-arm",
+            "null-depth", "float-depth", "int-arm", "int-vertices", "null-vertices",
+            "string-vertices", "object-vertices", "int-vertex", "list-vertex",
+            "object-edges", "list-edge",
         ],
     )
     def test_malformed_graph_rejected(self, corrupt):

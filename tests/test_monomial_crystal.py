@@ -312,6 +312,16 @@ class TestMonomialValue:
         with pytest.raises(RankMismatch):
             y(3, 0, 0) * y(4, 0, 0)
 
+    def test_product_with_non_monomial(self):
+        with pytest.raises(TypeError):
+            y(3, 0, 0) * 3
+
+    def test_repr_and_str(self):
+        m = y(4, 1, 2) * y(4, 2, 3, -2)
+        assert m.n == 4
+        assert repr(m) == "Monomial(n=4, 'Y(2,3)^-2*Y(1,2)')"
+        assert str(m) == "Y(2,3)^-2*Y(1,2)"
+
     def test_hashable(self):
         assert len({y(4, 0, 0), y(4, 0, 0), one(4)}) == 2
 
@@ -420,7 +430,7 @@ class TestCanonicalForm:
             want = tuple(sorted((k, u) for k, u in exp.items() if u))
             # the case's terms at residue 1, a shifted copy at residue 2
             res = [[], list(terms), [(k + 10, u) for k, u in terms]]
-            m = _built(3, res)
+            m = _built(res)
             assert_canonical(m, 3)
             assert m._res == ((), want, tuple((k + 10, u) for k, u in want))
             ks = [k for k, _ in terms]

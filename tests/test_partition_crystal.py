@@ -174,8 +174,8 @@ class TestBracketString:
                 s = bracket_string(lam, i, H4)
                 eps, phi, close, opening = oracle_scan(s.sides)
                 assert (s.eps, s.phi) == (eps, phi)
-                assert s.rightmost_unmatched_close() == (close if eps else None)
-                assert s.leftmost_unmatched_open() == (opening if phi else None)
+                assert s.last_close == close
+                assert s.first_open == opening
                 if eps and phi:
                     assert close < opening
 

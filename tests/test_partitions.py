@@ -72,6 +72,23 @@ class TestParse:
         assert format_partition(Partition()) == "[]"
 
 
+class TestPartitionValue:
+    @pytest.mark.parametrize("parts", [[2, 0], [-1], [1.5], ["2"], [True]])
+    def test_parts_not_positive_ints(self, parts):
+        with pytest.raises(NonPositivePart):
+            Partition(parts)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            BIG.parts = (1,)
+        assert BIG.parts == (11, 7, 4, 2, 1, 1, 1, 1, 1, 1)
+
+    def test_repr_and_len(self):
+        assert repr(BIG) == "Partition([11, 7, 4, 2, 1, 1, 1, 1, 1, 1])"
+        assert eval(repr(BIG), {"Partition": Partition}) == BIG
+        assert (len(BIG), len(Partition())) == (10, 0)
+
+
 class TestBoxStats:
     def test_content(self):
         assert content(Box(3, 2)) == -1
@@ -205,6 +222,7 @@ class TestEnumeration:
         expected = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
         got = [sum(1 for _ in partitions_of_size(m)) for m in range(11)]
         assert got == expected
+        assert list(partitions_of_size(-1)) == []
 
     def test_against_oracle(self):
         for m in range(10):
