@@ -78,6 +78,9 @@ class ArmSequence:
         return None if self.values is None else len(self.values)
 
     def value(self, t: int) -> int:
+        """A_t; ParseError unless t is an int (bools included)."""
+        if type(t) is not int:
+            raise ParseError(f"arm index t = {t!r} is not an int")
         if t < 1:
             raise BoundOutOfRange(f"arm sequences start at t = 1, got {t}")
         return arm_value(t, self.n, self.values)
@@ -175,10 +178,15 @@ def random_arm(n: int, horizon: int, seed: int) -> ArmSequence:
     of the axiom (i) range with every window [A_s + A_(t-s),
     A_s + A_(t-s) + 1]; that intersection is nonempty whenever the prefix
     is valid, so an empty range can only mean a bug and raises.
-    ``horizon`` must be at most MAX_ARM_HORIZON.
+    ``horizon`` must be at most MAX_ARM_HORIZON.  ``seed`` must be an int
+    (ParseError otherwise, bools included): it is written into the
+    descriptor, which :func:`arm_from_descriptor` must rebuild the same
+    table from.
     """
     check_rank(n)
     _check_horizon(horizon)
+    if type(seed) is not int:
+        raise ParseError(f"random arm seed {seed!r} is not an int")
     rng = random.Random(seed)
     values: list[int] = []
     for t in range(1, horizon + 1):

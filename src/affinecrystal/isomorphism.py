@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .arms import horizontal_arm, is_regular
 from .errors import NotAddable, NotRegular
-from .monomial_crystal import Monomial, _built, e_m, f_m, mult_a
+from .monomial_crystal import Monomial, _built, _canonical, e_m, f_m, mult_a
 from .partition_crystal import box_order_gt, e_up, f_down
 from .partitions import Box, Partition, _color, check_rank, content, height, residue
 
@@ -43,7 +43,7 @@ def partition_to_monomial(lam: Partition, n: int) -> Monomial:
             res[(p - r) % n].append((r + p, -1))
         above = p
     res[-rows % n].append((rows, 1))
-    return _built(res)
+    return _canonical(_built(res))
 
 
 def check_add_box_factor(lam: Partition, b: Box, n: int) -> bool:

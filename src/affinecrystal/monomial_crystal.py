@@ -6,7 +6,8 @@ increasing k.  This module owns that per-residue format: ``Monomial``
 stores it, and :func:`_monomial_side` gives the root, the lowering and the
 labels that the graph BFS and the synchronized walk run on it.  Its one
 builder, :func:`_built`, gives that form to the constructor, the parser,
-products and the corner map.  The operators multiply by
+products and the corner map; :func:`_canonical` wraps a built form
+without copying it.  The operators multiply by
 
     A(i,k) = Y(i,k-1) Y(i,k+1) Y(i+1,k)^-1 Y(i-1,k)^-1
 
@@ -59,7 +60,7 @@ class Monomial:
                         "k and exponent"
                     )
                 res[i % n].append((k, u))
-        _set_res(self, _built(res)._res)
+        _set_res(self, _built(res))
 
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
@@ -85,9 +86,11 @@ class Monomial:
             return NotImplemented
         if self.n != other.n:
             raise RankMismatch("cannot multiply monomials over different ranks")
-        return _built([[*a, *b] for a, b in zip(self._res, other._res)])
+        return _canonical(_built([[*a, *b] for a, b in zip(self._res, other._res)]))
 
     def __pow__(self, e: int) -> "Monomial":
+        if type(e) is not int:  # bools included
+            raise ParseError(f"power {e!r} is not an int")
         return Monomial(self.n, {(i, k): u * e for i, terms in enumerate(self._res)
                                  for k, u in terms})
 
@@ -117,10 +120,10 @@ def _canonical(res: tuple) -> Monomial:
     return m
 
 
-def _built(res: list) -> Monomial:
-    """The monomial of n lists of int (k, u) terms in any order, for a valid
-    rank n = len(res).  Sorts each list in place, summing equal k and
-    dropping zero exponents only where a k repeats or an exponent is 0."""
+def _built(res: list) -> tuple:
+    """The per-residue form of n lists of int (k, u) terms in any order, for
+    a valid rank n = len(res).  Sorts each list in place, summing equal k
+    and dropping zero exponents only where a k repeats or an exponent is 0."""
     for i, terms in enumerate(res):
         terms.sort()
         k0 = None
@@ -136,7 +139,7 @@ def _built(res: list) -> Monomial:
                 break
             k0 = k
         res[i] = tuple(terms)
-    return _canonical(tuple(res))
+    return tuple(res)
 
 
 def _bump(terms, k, u):
@@ -249,7 +252,7 @@ def parse_monomial(text: str, n: int) -> Monomial:
         if u == 0:
             raise ZeroExponent(f"factor {term!r} has exponent 0")
         res[i].append((k, u))
-    return _built(res)
+    return _canonical(_built(res))
 
 
 def format_monomial(m: Monomial) -> str:

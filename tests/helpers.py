@@ -10,7 +10,15 @@ from __future__ import annotations
 import json
 import random
 
-from affinecrystal import Partition, f_down, f_m, y
+from affinecrystal import (
+    Partition,
+    f_down,
+    f_m,
+    horizontal_arm,
+    is_regular,
+    partitions_of_size,
+    y,
+)
 from affinecrystal.monomial_crystal import Monomial
 
 
@@ -294,6 +302,16 @@ def oracle_precedes(b, b_prime, a) -> bool:
     t = ((upper.col - upper.row) - (lower.col - lower.row)) // a.n
     upper_first = upper.col - lower.col > a.value(t)
     return upper_first == (b_prime == upper)
+
+
+def regular_partitions(n: int, max_size: int):
+    """Every partition of size at most ``max_size`` that is regular under
+    the horizontal arm, by increasing size."""
+    a = horizontal_arm(n)
+    for m in range(max_size + 1):
+        for lam in partitions_of_size(m):
+            if is_regular(lam, a):
+                yield lam
 
 
 def random_partition(rng: random.Random, steps: int) -> Partition:

@@ -57,6 +57,7 @@ from helpers import (
     random_monomial,
     random_partition,
     random_reachable_monomial,
+    regular_partitions,
 )
 
 BIG = parse_partition("[11,7,4,2,1,1,1,1,1,1]")
@@ -75,16 +76,6 @@ def best_of(repeats, fn):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def regular_partitions(n, max_size):
-    a = horizontal_arm(n)
-    return [
-        lam
-        for m in range(max_size + 1)
-        for lam in partitions_of_size(m)
-        if is_regular(lam, a)
-    ]
 
 
 def test_criterion_1_lowering_figure():

@@ -59,8 +59,12 @@ class TestHorizontal:
         assert horizontal_arm(3).value(1) == 1
 
     def test_index_starts_at_one(self):
-        with pytest.raises(BoundOutOfRange):
-            horizontal_arm(3).value(0)
+        for a in (horizontal_arm(3), unchecked_arm(3, [1, 3])):
+            with pytest.raises(BoundOutOfRange):
+                a.value(0)
+            for t in (1.5, True, 1.0, "1", None):
+                with pytest.raises(ParseError):
+                    a.value(t)
 
     def test_rank(self):
         with pytest.raises(RankTooSmall):
@@ -213,6 +217,12 @@ class TestRandomArm:
         b = random_arm(4, 30, 99)
         assert a.values == b.values
         assert a.descriptor == "random:99:30"
+        assert arm_from_descriptor(4, a.descriptor).values == a.values
+        # a seed of None draws a fresh table, and no other seed gives a
+        # descriptor that rebuilds its table
+        for n, seed in ((6, None), (3, True), (3, 1.0), (3, "1")):
+            with pytest.raises(ParseError):
+                random_arm(n, 40, seed)
 
     @pytest.mark.parametrize("horizon", [0, 2.5, 3.0, "3", None])
     def test_horizon_out_of_range(self, horizon):

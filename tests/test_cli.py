@@ -22,6 +22,10 @@ from helpers import oracle_arm, oracle_cells, oracle_hook, oracle_regular_counts
 
 BIG = "[11,7,4,2,1,1,1,1,1,1]"
 BIG_IMAGE = "Y(2,12)^-1*Y(2,10)*Y(1,9)^-1*Y(2,8)*Y(1,7)^-1*Y(1,5)*Y(3,5)"
+# intertwining at n = 5: one word lowers [] and Y(0,0) to images of each
+# other under the corner map, and the reversed raising word undoes it
+N5_WORD = "f0,f4,f1,f3,f0,f2,f4"
+N5_IMAGE = "Y(2,5)^-1*Y(4,5)^-1*Y(1,4)*Y(3,4)*Y(2,2)"
 
 # (model, arm, format, sha256) of `--n 4 graph --depth 10`
 GOLDEN = [
@@ -58,14 +62,18 @@ class TestApply:
         assert out.strip() == "0"
 
     def test_monomial_word(self, capsys):
-        code, out, _ = run(capsys, "--n", "3", "apply", "Y(0,0)", "f0")
-        assert code == 0
-        assert out.strip() == "Y(0,2)^-1*Y(1,1)*Y(2,1)"
+        # the parser's cancelling pair Y(1,2), Y(1,2)^-1 is summed by the builder
+        for obj in ("Y(0,0)", "Y(1,2)*Y(0,0)*Y(1,2)^-1"):
+            code, out, _ = run(capsys, "--n", "3", "apply", obj, "f0")
+            assert (code, out) == (0, "Y(0,2)^-1*Y(1,1)*Y(2,1)\n")
 
     def test_word_applies_left_to_right(self, capsys):
-        code, out, _ = run(capsys, "--n", "3", "apply", "[]", "f0,f1,e1,f1")
-        assert code == 0
-        assert out.strip() == "[2]"
+        for n, obj, word, want in (("3", "[]", "f0,f1,e1,f1", "[2]"),
+                                   ("5", "[]", N5_WORD, "[2,2,2,1]"),
+                                   ("5", "Y(0,0)", N5_WORD, N5_IMAGE),
+                                   ("5", N5_IMAGE, "e4,e2,e0,e3,e1,e4,e0", "Y(0,0)")):
+            code, out, _ = run(capsys, "--n", n, "apply", obj, word)
+            assert (code, out) == (0, want + "\n")
 
     def test_residues_reduce_mod_n(self, capsys):
         code, out, _ = run(capsys, "--n", "3", "apply", "[]", "f3")
@@ -93,6 +101,8 @@ class TestPsi:
         code, out, _ = run(capsys, "--n", "5", "psi", "[]")
         assert code == 0
         assert out.strip() == "Y(0,0)"
+        # the image that N5_WORD lowers [] to
+        assert run(capsys, "--n", "5", "psi", "[2,2,2,1]") == (0, N5_IMAGE + "\n", "")
 
 
 class TestCheck:
@@ -107,9 +117,9 @@ class TestCheck:
         assert out.strip() == "regular"
 
     def test_staircase(self, capsys):
-        code, out, _ = run(capsys, "--n", "3", "check", "[2,1]")
-        assert code == 1
-        assert "illegal at (row 1, col 1)" in out
+        for text, line in (("[2,1]", "illegal at (row 1, col 1): hook 3, arm 1, t 1"),
+                           ("[3,3,3]", "illegal at (row 2, col 2): hook 3, arm 1, t 1")):
+            assert run(capsys, "--n", "3", "check", text) == (1, line + "\n", "")
 
 
     def test_output_matches_per_box_oracle(self, capsys):
@@ -172,13 +182,14 @@ class TestGraph:
 
 class TestCompare:
     def test_psi_comparison(self, capsys):
-        code, out, _ = run(
-            capsys, "--n", "4", "compare",
-            "--model", "partition", "--model2", "monomial",
-            "--depth", "6", "--use-psi",
-        )
-        assert code == 0
-        assert out.startswith("isomorphic (")
+        # n = 6, depth 22 is the largest compare-psi case of the benchmark;
+        # at n = 6 lowering shares 3 of 6 residues
+        for n, depth, vertices in (("4", "6", 26), ("6", "22", 3454)):
+            assert run(
+                capsys, "--n", n, "compare",
+                "--model", "partition", "--model2", "monomial",
+                "--depth", depth, "--use-psi",
+            ) == (0, f"isomorphic ({vertices} vertices)\n", "")
 
     def test_two_arm_sequences(self, capsys):
         code, out, _ = run(
@@ -196,9 +207,13 @@ class TestCompare:
         for owner in (cli, graphs):
             monkeypatch.setattr(owner, "generate_graph", refuse)
         monkeypatch.setattr(graphs, "CrystalGraph", refuse)
-        for models in (("partition", "monomial", "--use-psi"), ("monomial", "partition"),
-                       ("partition", "partition"), ("monomial", "monomial")):
-            code, out, _ = run(capsys, "--n", "4", "compare", "--model", models[0],
+        # the last pair walks a table arm
+        for arm, models in (([], ("partition", "monomial", "--use-psi")),
+                            ([], ("monomial", "partition")),
+                            ([], ("partition", "partition")),
+                            ([], ("monomial", "monomial")),
+                            (["--arm", "random:1:40"], ("partition", "monomial"))):
+            code, out, _ = run(capsys, "--n", "4", *arm, "compare", "--model", models[0],
                                "--model2", models[1], *models[2:], "--depth", "10")
             assert (code, out) == (0, "isomorphic (105 vertices)\n")
 
@@ -237,6 +252,10 @@ class TestCount:
         code, out, _ = run(capsys, "--n", "3", "count", "--max", "5")
         assert code == 0
         assert out.strip() == "1 1 2 2 4 5"
+        # 41 counts, the last Glaisher's coefficient of q^40
+        code, out, _ = run(capsys, "--n", "6", "count", "--max", "40")
+        assert (code, out.split()) == (0, list(map(str, oracle_regular_counts(6, 40))))
+        assert out.split()[-1] == "21352"
 
 
 class TestManyCalls:
@@ -278,8 +297,12 @@ class TestManyCalls:
                 main(argv)
             assert exc.value.code == 2
             assert capsys.readouterr().out == ""
+        # a count that needs A_4 of a table that stops at A_3, then a longer table
+        assert run(capsys, "--n", "3", "--arm", "random:1:3", "count", "--max", "20") == (
+            2, "", "error: A_4 requested but table only covers t <= 3\n")
         code, out, err = run(capsys, "--n", "4", "--arm", "random:1:64", "count", "--max", "28")
         assert (code, err) == (0, "")
+        assert out.split() == list(map(str, oracle_regular_counts(4, 28)))
         assert out.split()[-1] == "1539"  # Glaisher's coefficient of q^28
         code, out, _ = run(capsys, "--n", "3", "--format", "json", "graph", "--depth", "2")
         assert code == 0
@@ -358,35 +381,51 @@ class TestUsage:
         assert err == "error: rank 10000000000000000000 is above the ceiling of 100\n"
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["--n", "3", "--format", "json", "graph", "--depth", "-1"],
-            ["--n", "3", "count", "--max", "-1"],
-            ["--n", "3", "--arm", "random:5:0", "count", "--max", "3"],
-            ["--n", "3", "validate-arm", "--horizon", "0"],
-            ["--n", "3", "--arm", "random:5:2", "count", "--max", "9"],
-            ["--n", "3", "count", "--max", "101"],
-            ["--n", "3", "count", "--max", "100000000"],
-            ["--n", "3", "--arm", "random:1:99999999999", "count", "--max", "3"],
-            ["--n", "3", "validate-arm", "--horizon", "1000000000"],
-            ["--n", "3", "--arm", "file:{long_arm}", "count", "--max", "3"],
+            (["--n", "3", "--format", "json", "graph", "--depth", "-1"],
+             "depth must be an integer >= 0, got -1"),
+            (["--n", "3", "count", "--max", "-1"],
+             "max_size must be an int in 0..100, got -1"),
+            (["--n", "3", "--arm", "random:5:0", "count", "--max", "3"],
+             "horizon must be an int in 1..1000, got 0"),
+            (["--n", "3", "validate-arm", "--horizon", "0"],
+             "horizon must be an int in 1..1000, got 0"),
+            (["--n", "3", "--arm", "random:5:2", "count", "--max", "9"],
+             "A_3 requested but table only covers t <= 2"),
+            (["--n", "3", "count", "--max", "101"],
+             "max_size must be an int in 0..100, got 101"),
+            (["--n", "3", "count", "--max", "100000000"],
+             "max_size must be an int in 0..100, got 100000000"),
+            (["--n", "3", "--arm", "random:1:99999999999", "count", "--max", "3"],
+             "horizon must be an int in 1..1000, got 99999999999"),
+            (["--n", "3", "validate-arm", "--horizon", "1000000000"],
+             "horizon must be an int in 1..1000, got 1000000000"),
+            (["--n", "3", "--arm", "file:{long_arm}", "count", "--max", "3"],
+             "horizon must be an int in 1..1000, got 1001"),
+            # refused before any of the file is parsed
+            (["--n", "3", "--arm", "file:{long_file}", "count", "--max", "3"],
+             "arm file {long_file} is longer than 32000 bytes"),
         ],
         ids=[
             "negative-depth", "negative-max", "zero-arm-horizon", "zero-horizon",
             "count-past-arm-horizon", "max-past-ceiling", "huge-max",
             "huge-arm-horizon", "huge-horizon", "arm-file-past-ceiling",
+            "arm-file-past-byte-ceiling",
         ],
     )
-    def test_out_of_range_bound(self, capsys, tmp_path, argv):
-        # a horizontal table one entry longer than the ceiling
+    def test_out_of_range_bound(self, capsys, tmp_path, argv, message):
+        # a horizontal table one entry longer than the ceiling, and a file
+        # of short values past the byte ceiling
         long_arm = tmp_path / "long.txt"
         long_arm.write_text(" ".join(
             str(horizontal_value(3, t)) for t in range(1, MAX_ARM_HORIZON + 2)
         ))
-        argv = [arg.format(long_arm=long_arm) for arg in argv]
-        code, _, err = run(capsys, *argv)
-        assert code == 2
-        assert err.startswith("error: ") and "Traceback" not in err
+        long_file = tmp_path / "long_file.txt"
+        long_file.write_text("1 " * 20000)
+        paths = {"long_arm": long_arm, "long_file": long_file}
+        argv = [arg.format(**paths) for arg in argv]
+        assert run(capsys, *argv) == (2, "", f"error: {message.format(**paths)}\n")
 
     def test_non_integer_arm_token(self, capsys, tmp_path):
         path = tmp_path / "arm.txt"

@@ -30,18 +30,11 @@ from helpers import (
     monomial_tokens_as_slots,
     oracle_corner_monomial,
     random_partition,
+    regular_partitions,
 )
 
 BIG = parse_partition("[11,7,4,2,1,1,1,1,1,1]")
 BIG_IMAGE = "Y(2,12)^-1*Y(2,10)*Y(1,9)^-1*Y(2,8)*Y(1,7)^-1*Y(1,5)*Y(3,5)"
-
-
-def regular_partitions(n, max_size):
-    a = horizontal_arm(n)
-    for m in range(max_size + 1):
-        for lam in partitions_of_size(m):
-            if is_regular(lam, a):
-                yield lam
 
 
 def random_regular(rng, n, steps):

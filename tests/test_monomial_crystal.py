@@ -29,7 +29,7 @@ from affinecrystal.errors import (
     UnknownChoice,
     ZeroExponent,
 )
-from affinecrystal.monomial_crystal import MAX_MONOMIAL_NUMBER, _built, _bump
+from affinecrystal.monomial_crystal import MAX_MONOMIAL_NUMBER, _built, _bump, _canonical
 from helpers import (
     oracle_monomial_stats,
     oracle_mult_a,
@@ -366,7 +366,7 @@ class TestMonomialValue:
         with pytest.raises(ParseError):
             Monomial(3, factor)
 
-    @pytest.mark.parametrize("e", [2.5, 2.0, -0.5])
+    @pytest.mark.parametrize("e", [2.5, 2.0, -0.5, True, False])
     def test_power_not_int(self, e):
         with pytest.raises(ParseError):
             y(3, 0, 0) ** e
@@ -430,7 +430,7 @@ class TestCanonicalForm:
             want = tuple(sorted((k, u) for k, u in exp.items() if u))
             # the case's terms at residue 1, a shifted copy at residue 2
             res = [[], list(terms), [(k + 10, u) for k, u in terms]]
-            m = _built(res)
+            m = _canonical(_built(res))
             assert_canonical(m, 3)
             assert m._res == ((), want, tuple((k + 10, u) for k, u in want))
             ks = [k for k, _ in terms]

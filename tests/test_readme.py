@@ -5,7 +5,9 @@ Every ``affinecrystal`` command in a shell block that is followed by
 those lines and its exit code the one a ``# (exit N)`` line states, 0
 when there is none.  A command piped through ``awk '{print $NF}'`` is
 compared on the last field of each line; any other shell syntax fails.
-The "Library surface" Python block runs as one program.
+The "Library surface" Python block runs a line at a time in one
+namespace, so each statement fits on one line; a line ending in
+``# -> VALUE`` is an expression whose ``repr`` must be VALUE.
 """
 
 import re
@@ -89,4 +91,13 @@ def test_cli_example(command, out, code, capsys):
 
 def test_library_surface_runs():
     code = blocks("python", README.split("## Library surface", 1)[1])[0]
-    exec(compile(code, "README.md (Library surface)", "exec"), {})
+    namespace, checked = {}, 0
+    for number, line in enumerate(code.splitlines(), 1):
+        source, arrow, want = line.partition("# -> ")
+        where = f"README.md (Library surface) line {number}"
+        if arrow:
+            assert repr(eval(compile(source, where, "eval"), namespace)) == want, line
+            checked += 1
+        else:
+            exec(compile(line, where, "exec"), namespace)
+    assert checked
