@@ -10,6 +10,7 @@ vertex keeps the id it got on first discovery.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from . import _backend, isomorphism
@@ -134,29 +135,26 @@ def _bfs(root, children, label, depth):
 
     A partition f adds one box under any table, and a monomial f lowers
     sum(u k^2) over the factors by 2, so a child can only meet a vertex of
-    its own level: ``ids`` holds one level's vertices at a time.  Only a
-    new child is labelled.
+    its own level: ``ids`` holds one level's new vertices, in id order, and
+    they are labelled once, when the level is done.
     """
     vertices = [label(root)]
     edges: list[tuple[int, int, int]] = []
     frontier = [root]
-    first = 0  # id of frontier[0]; each level's ids are consecutive
     for level in range(1, depth + 1):
-        nxt = []
         ids = {}
-        for src, v in enumerate(frontier, first):
+        start = len(vertices)  # each level's ids are consecutive, after the frontier's
+        for src, v in enumerate(frontier, start - len(frontier)):
             for i, w in enumerate(children(v)):
                 if w is None:
                     continue
                 dst = ids.get(w)
                 if dst is None:
-                    dst = ids[w] = len(vertices)
-                    vertices.append(label(w))
-                    nxt.append(w)
+                    dst = ids[w] = start + len(ids)
                 edges.append((src, dst, i))
+        vertices += map(label, ids)
         _check_level(len(vertices), level)
-        first += len(frontier)
-        frontier = nxt
+        frontier = list(ids)
     return vertices, edges
 
 
@@ -328,32 +326,33 @@ def count_regular(n: int, a: ArmSequence, max_size: int) -> list[int]:
     return _backend.kernel.regular_counts(n, a.values, max_size)
 
 
-def _dot_quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 def export_dot(g: CrystalGraph) -> str:
-    """GraphViz text; node names v<id>, node label the canonical text,
-    edge label the color."""
-    lines = ["digraph crystal {"]
-    for vid, label in enumerate(g.vertices):
-        lines.append(f"  v{vid} [label={_dot_quote(label)}];")
-    for src, dst, color in g.edges:
-        lines.append(f'  v{src} -> v{dst} [label="{color}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """GraphViz text; node names v<id>, node label the canonical text with
+    each backslash and double quote escaped, edge label the color."""
+    nodes = "".join([
+        '  v%d [label="%s"];\n' % (vid, label.replace("\\", "\\\\").replace('"', '\\"'))
+        for vid, label in enumerate(g.vertices)
+    ])
+    edges = "".join([f'  v{src} -> v{dst} [label="{color}"];\n' for src, dst, color in g.edges])
+    return f"digraph crystal {{\n{nodes}{edges}}}\n"
 
 
 def export_json(g: CrystalGraph) -> str:
     """Schema-stable JSON, byte-deterministic for a given graph.
 
-    Writes the layout of ``json.dumps(doc, indent=2)`` directly; only the
-    scalars go through :func:`json.dumps`.
+    Writes the layout of ``json.dumps(doc, indent=2)`` directly.  Labels go
+    through ``encode_basestring_ascii``, which json.dumps calls for a string
+    (a hand-built label that is not one gets json.dumps text); the other
+    scalars go through json.dumps.
     """
     dumps = json.dumps
+    try:
+        labels = list(map(encode_basestring_ascii, g.vertices))
+    except TypeError:
+        labels = list(map(dumps, g.vertices))
     vertices = ",\n".join([
-        f'    {{\n      "id": {vid},\n      "label": {dumps(label)}\n    }}'
-        for vid, label in enumerate(g.vertices)
+        f'    {{\n      "id": {vid},\n      "label": {label}\n    }}'
+        for vid, label in enumerate(labels)
     ])
     edges = ",\n".join([
         f'    {{\n      "src": {s},\n      "dst": {d},\n      "color": {c}\n    }}'
@@ -370,10 +369,6 @@ def export_json(g: CrystalGraph) -> str:
 
 def _json_list(body: str) -> str:
     return f"[\n{body}\n  ]" if body else "[]"
-
-
-def _is_index(value, size: int) -> bool:
-    return type(value) is int and 0 <= value < size
 
 
 def graph_from_json(text: str) -> CrystalGraph:
@@ -407,7 +402,7 @@ def graph_from_json(text: str) -> CrystalGraph:
         seen = [False] * count
         for entry in vertices_field:
             vid = entry["id"]
-            if not _is_index(vid, count) or seen[vid]:
+            if type(vid) is not int or not 0 <= vid < count or seen[vid]:
                 raise ParseError(
                     f"vertex ids must be exactly 0..{count - 1}, got {vid!r}"
                 )
@@ -417,21 +412,22 @@ def graph_from_json(text: str) -> CrystalGraph:
             seen[vid] = True
             vertices[vid] = label
         root = doc["root"]
-        if not _is_index(root, count):
+        if type(root) is not int or not 0 <= root < count:
             raise ParseError(f"root {root!r} is not a vertex id")
         edges = []
-        out_colors = set()
+        out_colors = set()  # src * n + color of each edge read
         for e in doc["edges"]:
             src, dst, color = e["src"], e["dst"], e["color"]
-            if not (_is_index(src, count) and _is_index(dst, count)):
+            if not (type(src) is type(dst) is int and 0 <= src < count and 0 <= dst < count):
                 raise ParseError(
                     f"edge {src!r} -> {dst!r} has an endpoint that is not a vertex id"
                 )
-            if not _is_index(color, n):
+            if type(color) is not int or not 0 <= color < n:
                 raise ParseError(f"edge color {color!r} outside 0..{n - 1}")
-            if (src, color) in out_colors:
+            key = src * n + color
+            if key in out_colors:
                 raise ParseError(f"vertex {src} has two out-edges of color {color}")
-            out_colors.add((src, color))
+            out_colors.add(key)
             edges.append((src, dst, color))
         return CrystalGraph(
             model=model,

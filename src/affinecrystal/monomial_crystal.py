@@ -75,7 +75,8 @@ class Monomial:
 
     def factors(self) -> tuple[tuple[tuple[int, int], int], ...]:
         """((i, k), u) pairs sorted by decreasing k, then increasing i."""
-        return tuple(((i, -nk), u) for nk, i, u in _factors(self._res))
+        return tuple(((i, -nk), u) for nk, i, u in sorted(
+            [(-k, i, u) for i, terms in enumerate(self._res) for k, u in terms]))
 
     def support(self, i: int) -> list[int]:
         """The k with nonzero exponent at residue i, increasing."""
@@ -162,26 +163,29 @@ def _int_k(k) -> int:
     return k
 
 
-def _factors(res) -> list[tuple[int, int, int]]:
-    """(-k, i, u) of every factor of a per-residue form, in factor order:
-    decreasing k, then increasing residue i."""
-    return sorted([(-k, i, u) for i, terms in enumerate(res) for k, u in terms])
+class _ResidueTexts(dict):
+    """Residue i's (-k, i, text) factor fragments of each terms tuple, made
+    on first use; fragments sort into factor order."""
+
+    def __init__(self, i: int):
+        self.i = i
+
+    def __missing__(self, terms):
+        i = self.i
+        fragments = self[terms] = [
+            (-k, i, f"Y({i},{k})" if u == 1 else f"Y({i},{k})^{u}") for k, u in terms]
+        return fragments
 
 
-class _FactorTexts(dict):
-    """Text of each (-k, i, u) factor, made on first use."""
-
-    def __missing__(self, factor):
-        nk, i, u = factor
-        text = self[factor] = f"Y({i},{-nk})" if u == 1 else f"Y({i},{-nk})^{u}"
-        return text
-
-
-def _format(res, texts: _FactorTexts) -> str:
+def _format(res, texts: list[_ResidueTexts]) -> str:
     """Canonical text of the per-residue form ``res``; ``1`` is the empty
-    product.  A caller formatting many monomials passes one ``texts`` to
-    all calls."""
-    return "*".join(map(texts.__getitem__, _factors(res))) or "1"
+    product.  ``texts`` holds one memo per residue; a caller formatting
+    many monomials passes the same ``texts`` to all calls."""
+    fragments = []
+    for residue_texts, terms in zip(texts, res):
+        fragments += residue_texts[terms]
+    fragments.sort()
+    return "*".join([text for _, _, text in fragments]) or "1"
 
 
 def y(n: int, i: int, k: int, power: int = 1) -> Monomial:
@@ -257,7 +261,7 @@ def parse_monomial(text: str, n: int) -> Monomial:
 
 def format_monomial(m: Monomial) -> str:
     """Canonical text: factors by decreasing k then increasing residue."""
-    return _format(m._res, _FactorTexts())
+    return _format(m._res, list(map(_ResidueTexts, range(m.n))))
 
 
 def mult_a(m: Monomial, i: int, k: int, sign: int = 1) -> Monomial:
@@ -390,8 +394,8 @@ def _monomial_side(n: int):
     """``(root, children, label)`` of the monomial crystal on per-residue
     vertices, for the graph BFS and the synchronized walk: the root is
     Y(0,0), ``children`` is :func:`_lowering` and ``label(v)`` is v's
-    canonical text."""
-    texts = _FactorTexts()
+    canonical text, from fragment memos that live as long as ``label``."""
+    texts = list(map(_ResidueTexts, range(n)))
     return (((0, 1),),) + ((),) * (n - 1), _lowering(n), lambda v: _format(v, texts)
 
 

@@ -226,8 +226,8 @@ def format_partition(lam: Partition) -> str:
 
 
 def _format_parts(parts: tuple) -> str:
-    """:func:`format_partition` of a raw part tuple."""
-    return "[" + ",".join(map(str, parts)) + "]"
+    """:func:`format_partition` of a raw part tuple of ints."""
+    return repr(list(parts)).replace(" ", "")
 
 
 def partitions_of_size(m: int) -> Iterator[Partition]:

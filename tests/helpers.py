@@ -7,8 +7,10 @@ do not reuse the library's formulas, so they can serve as cross-checks.
 
 from __future__ import annotations
 
+import copy
 import json
 import random
+from typing import NamedTuple
 
 from affinecrystal import (
     Partition,
@@ -20,6 +22,7 @@ from affinecrystal import (
     y,
 )
 from affinecrystal.monomial_crystal import Monomial
+from affinecrystal.partitions import MAX_RANK
 
 
 def oracle_partitions(m, max_part=None):
@@ -264,6 +267,91 @@ def oracle_export_json(g) -> str:
         "edges": [{"src": s, "dst": d, "color": c} for s, d, c in g.edges],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def oracle_export_dot(g) -> str:
+    """The GraphViz text, each label escaped one character at a time:
+    a backslash or a double quote gets a backslash before it."""
+    out = "digraph crystal {\n"
+    for vid, label in enumerate(g.vertices):
+        escaped = "".join("\\" + ch if ch in '\\"' else ch for ch in label)
+        out += '  v' + str(vid) + ' [label="' + escaped + '"];\n'
+    for src, dst, color in g.edges:
+        out += '  v' + str(src) + ' -> v' + str(dst) + ' [label="' + str(color) + '"];\n'
+    return out + "}\n"
+
+
+class GraphEdit(NamedTuple):
+    """Set ``doc[path...][key] = value``, or delete the key when ``value`` is
+    DROP.  ``kept``: graph_from_json reads the edited document as the
+    unedited graph; otherwise it must raise ParseError."""
+
+    path: tuple
+    key: object
+    value: object
+    kept: bool = False
+
+
+DROP = object()
+# one value of each JSON type; an edit never puts a value where one of its
+# type already stands
+_TYPE_SWAPS = (None, True, False, 0.5, -3, "7", [1], {"id": 0})
+
+
+def graph_json_edits(doc: dict) -> list[GraphEdit]:
+    """Single edits of a parsed graph export ``doc``: a dropped key, a value
+    of another type (bools included), an out-of-range or huge integer, a
+    repeated vertex id, a second out-edge of one color; and, kept, the
+    vertex entries reversed or an unknown key added."""
+    count, n = len(doc["vertices"]), doc["n"]
+    huge = 10**30
+    out_of_range = {
+        "n": [2, MAX_RANK + 1, huge, -huge],
+        "depth": [-1, -huge],
+        "root": [-1, count, huge],
+        "id": [-1, count, huge],
+        "src": [-1, count, huge],
+        "dst": [-1, count, huge],
+        "color": [-1, n, huge],
+    }
+
+    def field(path, key, value):
+        swaps = [v for v in _TYPE_SWAPS if type(v) is not type(value)]
+        if key == "arm":  # null and any string are both arms
+            swaps = [v for v in swaps if v is not None and type(v) is not str]
+        edits = [GraphEdit(path, key, v) for v in swaps + out_of_range.get(key, [])]
+        if key == "id" and count > 1:
+            edits.append(GraphEdit(path, key, (value + 1) % count))
+        return edits + [GraphEdit(path, key, DROP)]
+
+    edits = [GraphEdit((), "comment", "x", True),
+             GraphEdit((), "vertices", doc["vertices"][::-1], True)]
+    for key, value in doc.items():
+        edits += field((), key, value)
+    for part in ("vertices", "edges"):
+        for j, entry in enumerate(doc[part]):
+            edits += field((part,), j, entry)[:-1]  # an entry is not dropped
+            for key, value in entry.items():
+                edits += field((part, j), key, value)
+        if doc[part]:
+            edits.append(GraphEdit((part, 0), "note", [], True))
+    for e in doc["edges"]:
+        twin = dict(e, dst=(e["dst"] + 1) % count)
+        edits.append(GraphEdit((), "edges", doc["edges"] + [twin]))
+    return edits
+
+
+def apply_graph_edit(doc: dict, edit: GraphEdit) -> dict:
+    """An edited deep copy of ``doc``."""
+    doc = copy.deepcopy(doc)
+    target = doc
+    for step in edit.path:
+        target = target[step]
+    if edit.value is DROP:
+        del target[edit.key]
+    else:
+        target[edit.key] = edit.value
+    return doc
 
 
 def oracle_scan(sides):

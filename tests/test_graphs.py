@@ -1,7 +1,10 @@
+import functools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import affinecrystal.graphs as graphs
 import affinecrystal.isomorphism as isomorphism
@@ -44,7 +47,10 @@ from affinecrystal.errors import (
     UnknownChoice,
 )
 from helpers import (
+    apply_graph_edit,
+    graph_json_edits,
     max_multiplicity,
+    oracle_export_dot,
     oracle_export_json,
     oracle_is_regular,
     oracle_monomial_graph,
@@ -160,6 +166,29 @@ class TestGeneration:
         for label in g.vertices:
             m = parse_monomial(label, 5)
             assert sum(weight(m).values()) == 1
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("model, seed", [("partition", None), ("partition", 8),
+                                             ("monomial", None)])
+    def test_labels_each_vertex_once(self, model, seed, n, monkeypatch):
+        # the label _model_side gives is called once per vertex, and never
+        # for an edge that reaches a vertex already found
+        labelled = []
+        original = graphs._model_side
+
+        def model_side(*args):
+            root, children, label = original(*args)
+
+            def counted(v):
+                labelled.append(v)
+                return label(v)
+
+            return root, children, counted
+
+        monkeypatch.setattr(graphs, "_model_side", model_side)
+        a = None if seed is None else random_arm(n, 40, seed)
+        g = generate_graph(model, n, 12, a)
+        assert len(labelled) == len(set(labelled)) == len(g.vertices) < len(g.edges)
 
 
 def axiom_breaking_arm(n, horizon, seed):
@@ -315,21 +344,6 @@ class TestMonomialBFS:
                 run()
                 counts.append(len(calls))
             assert counts[0] == counts[1] > 0
-
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_sorts_each_vertex_once(self, n, monkeypatch):
-        # _factors sorts a child into its label only when the child is new;
-        # the root is the one vertex sorted before the BFS starts
-        calls = []
-        original = monomial_crystal._factors
-
-        def factors(res):
-            calls.append(1)
-            return original(res)
-
-        monkeypatch.setattr(monomial_crystal, "_factors", factors)
-        g = generate_graph("monomial", n, 12)
-        assert len(calls) == 1 + (len(g.vertices) - 1)
 
 
 class TestComparison:
@@ -812,6 +826,19 @@ class TestExport:
         with pytest.raises(ParseError):
             graph_from_json(json.dumps(doc))
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_json_read_or_refused(self, data):
+        # any other exception, or a different graph read back, fails
+        g, doc, edits = data.draw(st.sampled_from(fuzz_cases()))
+        edit = data.draw(st.sampled_from(edits))
+        text = json.dumps(apply_graph_edit(doc, edit))
+        if edit.kept:
+            assert graph_from_json(text) == g
+        else:
+            with pytest.raises(ParseError):
+                graph_from_json(text)
+
     def test_handmade_graph_round_trip(self):
         g = CrystalGraph(
             model="partition",
@@ -839,15 +866,70 @@ class TestExport:
         assert graph_from_json(text) == g
 
     def test_json_escapes_match_oracle(self):
-        g = CrystalGraph(
-            model='part"ition\\',
-            n=3,
-            depth=2,
-            arm="file:arms/a b\n\"q\"",
-            vertices=["[]", 'x"y\\z', "line\nbreak\ttab\x00\x1f\x7f", "λ→ü \u2028 \U0001f600"],
-            edges=[(0, 1, 0), (1, 2, 2), (1, 3, 1)],
-        )
+        g = escapes_graph()
         text = export_json(g)
         assert text == oracle_export_json(g)
         assert graph_from_json(text) == g
 
+    def test_dot_escapes_match_oracle(self):
+        g = escapes_graph()
+        assert export_dot(g) == oracle_export_dot(g)
+
+    @pytest.mark.parametrize("model", ["partition", "monomial"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_dot_matches_oracle(self, model, n):
+        for depth in (0, 1, 6):
+            g = generate_graph(model, n, depth)
+            assert export_dot(g) == oracle_export_dot(g), depth
+
+    def test_dot_matches_oracle_random_arm(self):
+        g = generate_graph("partition", 4, 8, random_arm(4, 30, seed=7))
+        assert export_dot(g) == oracle_export_dot(g)
+
+    def test_hand_built_scalars_keep_their_text(self):
+        # a hand-built record may hold what generate_graph never does: a
+        # label goes through json.dumps, an edge field prints as str() does,
+        # and DOT refuses a label that is not text
+        g = CrystalGraph(model="partition", n=3, depth=2.0, arm=None,
+                         vertices=[5, None, True, 2.5, "x"],
+                         edges=[(True, 1.0, False), (4, 0, 2)], root=True)
+        label = '    {{\n      "id": {},\n      "label": {}\n    }}'.format
+        edge = '    {{\n      "src": {},\n      "dst": {},\n      "color": {}\n    }}'.format
+        assert export_json(g) == (
+            '{\n  "model": "partition",\n  "n": 3,\n  "arm": null,\n  "depth": 2.0,\n'
+            '  "root": true,\n  "vertices": [\n'
+            + ",\n".join(label(*v) for v in enumerate(["5", "null", "true", "2.5", '"x"']))
+            + '\n  ],\n  "edges": [\n'
+            + edge("True", "1.0", "False") + ",\n" + edge(4, 0, 2) + "\n  ]\n}\n"
+        )
+        with pytest.raises(AttributeError):
+            export_dot(g)
+        assert export_dot(g._replace(vertices=["a", "b"])) == (
+            'digraph crystal {\n  v0 [label="a"];\n  v1 [label="b"];\n'
+            '  vTrue -> v1.0 [label="False"];\n  v4 -> v0 [label="2"];\n}\n'
+        )
+
+
+@functools.cache
+def fuzz_cases():
+    """(graph, its parsed export, every edit of it) for small graphs of
+    both models, a random arm and the one-vertex graph."""
+    cases = []
+    for g in (generate_graph("partition", 3, 3), generate_graph("monomial", 4, 3),
+              generate_graph("partition", 4, 3, random_arm(4, 30, seed=5)),
+              generate_graph("partition", 5, 0)):
+        doc = json.loads(export_json(g))
+        cases.append((g, doc, graph_json_edits(doc)))
+    return cases
+
+
+def escapes_graph():
+    """A hand-built graph whose texts need JSON and DOT escapes."""
+    return CrystalGraph(
+        model='part"ition\\',
+        n=3,
+        depth=2,
+        arm="file:arms/a b\n\"q\"",
+        vertices=["[]", 'x"y\\z', "line\nbreak\ttab\x00\x1f\x7f", "λ→ü \u2028 \U0001f600"],
+        edges=[(0, 1, 0), (1, 2, 2), (1, 3, 1)],
+    )
