@@ -60,8 +60,8 @@ class BracketString(NamedTuple):
     def build(cls, tokens: list[tuple[Any, str]]) -> "BracketString":
         """From (payload, side) tokens in their acting order."""
         return cls(
-            tuple(side for _, side in tokens),
-            tuple(payload for payload, _ in tokens),
+            tuple([side for _, side in tokens]),
+            tuple([payload for payload, _ in tokens]),
             *scan(tokens),
         )
 

@@ -15,8 +15,10 @@ without copying it.  The operators multiply by
 statistics eps/phi/p/q or, equivalently, from a bracket string holding one
 ``(`` per positive exponent unit and one ``)`` per negative unit, ordered
 by decreasing k.  Both definitions are implemented and tested against each
-other.  Both read one residue's tuple as it is stored, and A(i,k) edits
-only residues i and i +- 1.
+other.  Both read one residue's tuple as it is stored.  :func:`mult_a` is
+the checked entry to :func:`_times_a`, the one A-multiplication, which
+edits only residues i and i +- 1; ``e_m`` and ``f_m`` check the mode and
+the color once and then call ``_times_a`` directly.
 """
 
 from __future__ import annotations
@@ -270,13 +272,18 @@ def mult_a(m: Monomial, i: int, k: int, sign: int = 1) -> Monomial:
     Only residues i and i +- 1 change; the others are shared with m."""
     if type(sign) is not int or sign not in (1, -1):
         raise UnknownChoice(f"sign must be +1 or -1, got {sign!r}")
-    i, k = _color(m, i), _int_k(k)
-    res = list(m._res)
+    return _canonical(_times_a(m._res, _color(m, i), _int_k(k), sign))
+
+
+def _times_a(res: tuple, i: int, k: int, sign: int) -> tuple:
+    """``res`` times A(i,k)^sign for a checked color i in [0, n), int k and
+    sign +-1; residues other than i and i +- 1 are shared with ``res``."""
+    res = list(res)
     n = len(res)
     res[i] = _bump(_bump(res[i], k - 1, sign), k + 1, sign)
     for j in ((i + 1) % n, (i - 1) % n):
         res[j] = _bump(res[j], k, -sign)
-    return _canonical(tuple(res))
+    return tuple(res)
 
 
 def weight(m: Monomial) -> dict[int, int]:
@@ -310,14 +317,20 @@ def stats(m: Monomial, i: int) -> MonomialStats:
     point on the relevant side.
     """
     terms = m._res[_color(m, i)]
+    eps, p = _eps_p(terms)
+    phi, q = _phi_q(terms)
+    return MonomialStats(eps, phi, p, q)
+
+
+def _eps_p(terms: tuple[tuple[int, int], ...]) -> tuple[int, int | None]:
+    """eps and the largest maximizing p from (k, u) terms by increasing k."""
     eps, p = 0, None
     tail = 0
     for k, u in reversed(terms):
-        tail += u
-        if -tail > eps:
-            eps, p = -tail, k
-    phi, q = _phi_q(terms)
-    return MonomialStats(eps, phi, p, q)
+        tail -= u
+        if tail > eps:
+            eps, p = tail, k
+    return eps, p
 
 
 def _phi_q(terms: tuple[tuple[int, int], ...]) -> tuple[int, int | None]:
@@ -336,8 +349,7 @@ def monomial_bracket_string(m: Monomial, i: int) -> BracketString:
     i = _color(m, i)
     tokens = []
     for k, u in reversed(m._res[i]):
-        side = OPEN if u > 0 else CLOSE
-        tokens.extend(((i, k), side) for _ in range(abs(u)))
+        tokens += [((i, k), OPEN if u > 0 else CLOSE)] * abs(u)
     return BracketString.build(tokens)
 
 
@@ -349,31 +361,29 @@ def _check_mode(mode: str) -> None:
 def e_m(m: Monomial, i: int, mode: str = "analytic") -> Monomial | None:
     """Raising operator: multiply by A(i, .), or None when eps is 0."""
     _check_mode(mode)
+    i = _color(m, i)
     if mode == "analytic":
-        st = stats(m, i)
-        if st.eps == 0:
-            return None
-        return mult_a(m, i, st.p - 1, +1)
-    s = monomial_bracket_string(m, i)
-    if s.last_close is None:
+        k = _eps_p(m._res[i])[1]
+    else:
+        s = monomial_bracket_string(m, i)
+        k = None if s.last_close is None else s.payloads[s.last_close][1]
+    if k is None:
         return None
-    _, k = s.payloads[s.last_close]
-    return mult_a(m, i, k - 1, +1)
+    return _canonical(_times_a(m._res, i, k - 1, 1))
 
 
 def f_m(m: Monomial, i: int, mode: str = "analytic") -> Monomial | None:
     """Lowering operator: multiply by A(i, .)^-1, or None when phi is 0."""
     _check_mode(mode)
+    i = _color(m, i)
     if mode == "analytic":
-        q = _phi_q(m._res[_color(m, i)])[1]
-        if q is None:
-            return None
-        return mult_a(m, i, q + 1, -1)
-    s = monomial_bracket_string(m, i)
-    if s.first_open is None:
+        k = _phi_q(m._res[i])[1]
+    else:
+        s = monomial_bracket_string(m, i)
+        k = None if s.first_open is None else s.payloads[s.first_open][1]
+    if k is None:
         return None
-    _, k = s.payloads[s.first_open]
-    return mult_a(m, i, k + 1, -1)
+    return _canonical(_times_a(m._res, i, k + 1, -1))
 
 
 def is_dominant(m: Monomial) -> bool:

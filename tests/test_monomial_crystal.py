@@ -251,7 +251,7 @@ class TestOperators:
         with pytest.raises(UnknownChoice):
             f_m(one(3), 0, "x")
 
-    @pytest.mark.parametrize("bad", [0.0, 1.5, "0", None])
+    @pytest.mark.parametrize("bad", [0.0, 1.5, "0", None, True])
     def test_color_and_k_not_int(self, bad):
         # a float color or k would give a non-canonical monomial such as
         # Y(0.0,2)^-1*Y(1.0,1)*Y(2.0,1), or k = 2.5
@@ -267,6 +267,33 @@ class TestOperators:
         for call in calls:
             with pytest.raises(ParseError):
                 call()
+
+    def test_refusal_order(self):
+        # e_m and f_m check the mode before the color; mult_a checks the
+        # sign before the color and k
+        m = y(3, 0, 0) * y(3, 1, 2, -1)
+        for call in (lambda: e_m(m, 1.5, "fast"), lambda: f_m(m, 1.5, "fast"),
+                     lambda: mult_a(m, 1.5, 0, 2), lambda: mult_a(m, 0, 1.5, 2)):
+            with pytest.raises(UnknownChoice):
+                call()
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_operators_match_stats_and_mult_a(self, n):
+        # e_m and f_m read the statistics and multiply by A(i,k) without
+        # calling stats or mult_a, so tie them back to both
+        rng = random.Random(50 + n)
+        monomials = [partition_to_monomial(random_partition(rng, 25), n)
+                     for _ in range(60)]
+        monomials += [random_reachable_monomial(rng, n, 20) for _ in range(60)]
+        monomials += [random_monomial(rng, n) for _ in range(120)]
+        for m in monomials:
+            for i in range(n):
+                st = stats(m, i)
+                up = None if st.eps == 0 else mult_a(m, i, st.p - 1, +1)
+                down = None if st.phi == 0 else mult_a(m, i, st.q + 1, -1)
+                for mode in ("analytic", "bracket"):
+                    assert e_m(m, i, mode) == up
+                    assert f_m(m, i, mode) == down
 
 
 class TestBracketString:
