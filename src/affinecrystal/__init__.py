@@ -15,7 +15,6 @@ from .arms import (
     arm_from_file,
     arm_from_values,
     horizontal_arm,
-    is_illegal_box,
     is_regular,
     random_arm,
     unchecked_arm,
@@ -36,10 +35,7 @@ from .graphs import (
     graph_from_json,
 )
 from .isomorphism import (
-    CornerRuleReport,
     IntertwineReport,
-    check_add_box_factor,
-    check_corner_order_rules,
     check_intertwining,
     partition_to_monomial,
 )
@@ -60,14 +56,12 @@ from .monomial_crystal import (
     y,
 )
 from .partition_crystal import (
-    box_order_gt,
     bracket_string,
     e_box,
     e_up,
     eps_phi,
     f_box,
     f_down,
-    horizontal_key,
 )
 from .partitions import (
     Box,

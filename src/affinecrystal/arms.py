@@ -24,12 +24,11 @@ from .errors import (
     AxiomIIViolation,
     AxiomIViolation,
     BoundOutOfRange,
-    BoxOutside,
     EmptyArmTable,
     HorizonExceedsTable,
     ParseError,
 )
-from .partitions import Box, Partition, arm, check_rank, hook
+from .partitions import Box, Partition, check_rank
 
 # largest arm horizon: random tables, validation and table construction
 # are quadratic in it.  At 1000 on a 2-core x86 host a random table takes
@@ -226,23 +225,13 @@ def arm_from_descriptor(n: int, text: str, validate: bool = True) -> ArmSequence
     raise ParseError(f"unknown arm sequence {text!r}")
 
 
-def is_illegal_box(lam: Partition, b: Box, a: ArmSequence) -> bool:
-    """True when hook(b) is a positive multiple n t of n and arm(b) = A_t."""
-    if not lam.contains(b):
-        raise BoxOutside(f"{b} not inside {lam}")
-    h = hook(lam, b)
-    if h % a.n != 0:
-        return False
-    return arm(lam, b) == a.value(h // a.n)
-
-
 def illegal_boxes(lam: Partition, a: ArmSequence) -> list[tuple[Box, int, int]]:
     """(box, hook, arm) for every illegal box of ``lam``, in reading order.
 
     The kernel's one box scan reads the column lengths once, so the work
     is linear in the size of ``lam``.  The boxes are tested in the order
-    of ``lam.boxes()``, so a table too short for some box raises where
-    :func:`is_illegal_box` would.
+    of ``lam.boxes()``, so a table too short for several boxes raises at
+    the first of them.
     """
     found = _backend.kernel.illegal_boxes(lam.parts, a.n, a.values)
     return [(Box(r, c), h, arm_len) for r, c, h, arm_len in found]

@@ -88,14 +88,6 @@ class HorizonExceedsTable(CrystalError, LookupError):
         super().__init__(f"A_{t} requested but table only covers t <= {horizon}")
 
 
-class SameBox(CrystalError, ValueError):
-    """Box comparison needs two boxes with distinct contents."""
-
-
-class ResidueMismatch(CrystalError, ValueError):
-    """Box comparison needs two boxes of equal residue."""
-
-
 class ResidueOutOfRange(CrystalError, ValueError):
     """Monomial text mentions a residue outside [0, n)."""
 

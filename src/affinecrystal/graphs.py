@@ -328,11 +328,16 @@ def count_regular(n: int, a: ArmSequence, max_size: int) -> list[int]:
 
 def export_dot(g: CrystalGraph) -> str:
     """GraphViz text; node names v<id>, node label the canonical text with
-    each backslash and double quote escaped, edge label the color."""
-    nodes = "".join([
-        '  v%d [label="%s"];\n' % (vid, label.replace("\\", "\\\\").replace('"', '\\"'))
-        for vid, label in enumerate(g.vertices)
-    ])
+    each backslash and double quote escaped, edge label the color.  A
+    hand-built label that is not a string raises ``ParseError``."""
+    try:
+        nodes = "".join([
+            '  v%d [label="%s"];\n' % (vid, label.replace("\\", "\\\\").replace('"', '\\"'))
+            for vid, label in enumerate(g.vertices)
+        ])
+    except (AttributeError, TypeError):
+        vid, label = next((v, x) for v, x in enumerate(g.vertices) if not isinstance(x, str))
+        raise ParseError(f"vertex {vid} label is not a string: {label!r}") from None
     edges = "".join([f'  v{src} -> v{dst} [label="{color}"];\n' for src, dst, color in g.edges])
     return f"digraph crystal {{\n{nodes}{edges}}}\n"
 

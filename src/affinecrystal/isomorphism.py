@@ -1,11 +1,11 @@
-"""The corner map from partitions to monomials and its verification oracles.
+"""The corner map from partitions to monomials, and its intertwining check.
 
 A partition goes to the product of Y(color, height-1) over its addable
 corners times Y(color, height+1)^-1 over its removable corners.  On
 partitions that are regular for the horizontal arm sequence this map
-intertwines the two families of crystal operators; the checkers here
-recompute both sides of that statement through independent code paths and
-report witnesses on any failure.
+intertwines the two families of crystal operators; :func:`check_intertwining`
+computes both sides of that statement, one through each model, and reports
+them as witnesses.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .arms import horizontal_arm, is_regular
-from .errors import NotAddable, NotRegular
-from .monomial_crystal import Monomial, _built, _canonical, e_m, f_m, mult_a
-from .partition_crystal import box_order_gt, e_up, f_down
-from .partitions import Box, Partition, _color, check_rank, content, height, residue
+from .errors import NotRegular
+from .monomial_crystal import Monomial, _built, _canonical, e_m, f_m
+from .partition_crystal import e_up, f_down
+from .partitions import Partition, check_rank
 
 
 def partition_to_monomial(lam: Partition, n: int) -> Monomial:
@@ -44,20 +44,6 @@ def partition_to_monomial(lam: Partition, n: int) -> Monomial:
         above = p
     res[-rows % n].append((rows, 1))
     return _canonical(_built(res))
-
-
-def check_add_box_factor(lam: Partition, b: Box, n: int) -> bool:
-    """Adding box b must multiply the image by A(color, height)^-1.
-
-    Both sides are computed independently (one through the corner map of
-    the grown partition, one through the lattice factor); holds for every
-    partition and every addable box, and exists here as a test oracle.
-    """
-    if b not in lam.addable_boxes():
-        raise NotAddable(f"{b} is not addable to {lam}")
-    grown = partition_to_monomial(lam.add_box(b), n)
-    factored = mult_a(partition_to_monomial(lam, n), residue(b, n), height(b), -1)
-    return grown == factored
 
 
 class IntertwineReport(NamedTuple):
@@ -106,56 +92,3 @@ def check_intertwining(lam: Partition, i: int, n: int) -> IntertwineReport:
         f_partition_side=None if down is None else partition_to_monomial(down, n),
         f_monomial_side=f_m(image, i),
     )
-
-
-class CornerRuleReport(NamedTuple):
-    """Violations of the five corner-separation rules; empty means pass."""
-
-    lam: Partition
-    i: int
-    violations: list[tuple[str, Box, Box, Box | None]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_corner_order_rules(lam: Partition, i: int, n: int) -> CornerRuleReport:
-    """Height/content constraints between same-color addable and removable
-    corners of a partition regular for the horizontal sequence:
-
-      (i)   never h(add) = h(rem) + 1;
-      (ii)  equal heights force c(rem) > c(add);
-      (iii) add precedes rem in the order iff h(add) - 1 >= h(rem) + 1;
-      (iv)  when h(add) - 1 = h(rem) + 1, any addable corner strictly
-            between them in the order has the height of the addable one;
-      (v)   same with a removable corner and the removable height.
-    """
-    a = horizontal_arm(n)
-    if not is_regular(lam, a):
-        raise NotRegular(f"{lam} has an illegal box for the horizontal sequence")
-    i = _color(a, i)
-    adds = [b for b in lam.addable_boxes() if residue(b, n) == i]
-    rems = [b for b in lam.removable_boxes() if residue(b, n) == i]
-    report = CornerRuleReport(lam, i, [])
-
-    def between(c: Box, b: Box, bp: Box) -> bool:
-        return box_order_gt(c, b, a) and box_order_gt(bp, c, a)
-
-    for b in adds:
-        for bp in rems:
-            if height(b) == height(bp) + 1:
-                report.violations.append(("i", b, bp, None))
-            if height(b) == height(bp) and not content(bp) > content(b):
-                report.violations.append(("ii", b, bp, None))
-            precedes = box_order_gt(bp, b, a)
-            if precedes != (height(b) - 1 >= height(bp) + 1):
-                report.violations.append(("iii", b, bp, None))
-            if height(b) - 1 == height(bp) + 1:
-                for c in adds:
-                    if c != b and between(c, b, bp) and height(c) != height(b):
-                        report.violations.append(("iv", b, bp, c))
-                for c in rems:
-                    if c != bp and between(c, b, bp) and height(c) != height(bp):
-                        report.violations.append(("v", b, bp, c))
-    return report

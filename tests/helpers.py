@@ -13,14 +13,19 @@ import random
 from typing import NamedTuple
 
 from affinecrystal import (
+    Box,
     Partition,
+    content,
     f_down,
     f_m,
+    height,
     horizontal_arm,
     is_regular,
     partitions_of_size,
+    residue,
     y,
 )
+from affinecrystal.errors import NotRegular
 from affinecrystal.monomial_crystal import Monomial
 from affinecrystal.partitions import MAX_RANK
 
@@ -390,6 +395,62 @@ def oracle_precedes(b, b_prime, a) -> bool:
     t = ((upper.col - upper.row) - (lower.col - lower.row)) // a.n
     upper_first = upper.col - lower.col > a.value(t)
     return upper_first == (b_prime == upper)
+
+
+class CornerRuleReport(NamedTuple):
+    """Violations of the five corner-separation rules; empty means pass."""
+
+    lam: Partition
+    i: int
+    violations: list[tuple[str, Box, Box, Box | None]]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def check_corner_order_rules(lam: Partition, i: int, n: int) -> CornerRuleReport:
+    """Height/content constraints between same-color addable and removable
+    corners of a partition regular for the horizontal sequence:
+
+      (i)   never h(add) = h(rem) + 1;
+      (ii)  equal heights force c(rem) > c(add);
+      (iii) add precedes rem in the order iff h(add) - 1 >= h(rem) + 1;
+      (iv)  when h(add) - 1 = h(rem) + 1, any addable corner strictly
+            between them in the order has the height of the addable one;
+      (v)   same with a removable corner and the removable height.
+
+    Regularity is read off :func:`oracle_is_regular` and the order off
+    :func:`oracle_precedes`, the definitions, not the kernel.
+    """
+    a = horizontal_arm(n)
+    if not oracle_is_regular(lam.parts, n, a.value):
+        raise NotRegular(f"{lam} has an illegal box for the horizontal sequence")
+    i %= n
+    adds = [b for b in lam.addable_boxes() if residue(b, n) == i]
+    rems = [b for b in lam.removable_boxes() if residue(b, n) == i]
+    report = CornerRuleReport(lam, i, [])
+
+    def between(c: Box, b: Box, bp: Box) -> bool:
+        return oracle_precedes(c, b, a) and oracle_precedes(bp, c, a)
+
+    for b in adds:
+        for bp in rems:
+            if height(b) == height(bp) + 1:
+                report.violations.append(("i", b, bp, None))
+            if height(b) == height(bp) and not content(bp) > content(b):
+                report.violations.append(("ii", b, bp, None))
+            precedes = oracle_precedes(bp, b, a)
+            if precedes != (height(b) - 1 >= height(bp) + 1):
+                report.violations.append(("iii", b, bp, None))
+            if height(b) - 1 == height(bp) + 1:
+                for c in adds:
+                    if c != b and between(c, b, bp) and height(c) != height(b):
+                        report.violations.append(("iv", b, bp, c))
+                for c in rems:
+                    if c != bp and between(c, b, bp) and height(c) != height(bp):
+                        report.violations.append(("v", b, bp, c))
+    return report
 
 
 def regular_partitions(n: int, max_size: int):

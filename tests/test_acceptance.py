@@ -14,11 +14,9 @@ from affinecrystal import (
     Box,
     Partition,
     bracket_string,
-    box_order_gt,
-    check_add_box_factor,
-    check_corner_order_rules,
     check_intertwining,
     compare_graphs,
+    content,
     count_regular,
     e_m,
     e_up,
@@ -31,9 +29,8 @@ from affinecrystal import (
     format_partition,
     generate_graph,
     graph_from_json,
+    height,
     horizontal_arm,
-    horizontal_key,
-    is_illegal_box,
     is_regular,
     monomial_bracket_string,
     mult_a,
@@ -47,13 +44,16 @@ from affinecrystal import (
     weight,
     y,
 )
+from affinecrystal.arms import illegal_boxes
 from affinecrystal.graphs import CrystalGraph
 from helpers import (
     box_tokens_as_slots,
     cancel_matching_slot_pairs,
+    check_corner_order_rules,
     max_multiplicity,
     monomial_tokens_as_slots,
     oracle_partitions,
+    oracle_precedes,
     random_monomial,
     random_partition,
     random_reachable_monomial,
@@ -104,13 +104,13 @@ def test_criterion_2_illegal_box_figure():
     b = Box(3, 2)
 
     def body():
-        from affinecrystal import arm as arm_stat, content, height, hook
+        from affinecrystal import arm as arm_stat, hook
 
         assert hook(WIDE, b) == 8
         assert arm_stat(WIDE, b) == 3
         assert content(b) == -1
         assert height(b) == 4
-        assert is_illegal_box(WIDE, b, a)
+        assert (b, 8, 3) in illegal_boxes(WIDE, a)
         assert not is_regular(WIDE, a)
 
     body()
@@ -184,12 +184,17 @@ def test_criterion_6_definition_equivalence():
 
 
 def test_criterion_7_lemma_suite():
+    # adding box b multiplies the corner-map image by A(residue, height)^-1
     for n in (3, 4, 5):
         for m in range(11):
             for lam in partitions_of_size(m):
+                image = partition_to_monomial(lam, n)
                 for b in lam.addable_boxes():
-                    assert check_add_box_factor(lam, b, n), (lam, b, n)
+                    grown = partition_to_monomial(lam.add_box(b), n)
+                    assert grown == mult_a(image, residue(b, n), height(b), -1), (lam, b, n)
 
+    # the bracket string reads corners by height, then content, which is
+    # the arm order by definition; then the five corner-separation rules
     for n in (3, 4, 5):
         a = horizontal_arm(n)
         for lam in regular_partitions(n, 12):
@@ -199,11 +204,12 @@ def test_criterion_7_lemma_suite():
                     for b in lam.addable_boxes() + lam.removable_boxes()
                     if residue(b, n) == i
                 ]
-                by_key = sorted(corners, key=horizontal_key, reverse=True)
+                by_key = sorted(corners, key=lambda b: (height(b), content(b)), reverse=True)
+                assert list(bracket_string(lam, i, a).payloads) == by_key, (lam, i, n)
                 for x in range(len(by_key)):
                     for z in range(x + 1, len(by_key)):
-                        assert box_order_gt(by_key[z], by_key[x], a)
-                        assert not box_order_gt(by_key[x], by_key[z], a)
+                        assert oracle_precedes(by_key[z], by_key[x], a)
+                        assert not oracle_precedes(by_key[x], by_key[z], a)
                 assert check_corner_order_rules(lam, i, n).ok, (lam, i, n)
     announce(7, "single-box factor, height order, and corner separation rules")
 

@@ -17,7 +17,6 @@ from affinecrystal import (
     f_down,
     generate_graph,
     horizontal_arm,
-    is_illegal_box,
     is_regular,
     parse_partition,
     partitions_of_size,
@@ -31,7 +30,6 @@ from affinecrystal.errors import (
     AxiomIIViolation,
     AxiomIViolation,
     BoundOutOfRange,
-    BoxOutside,
     EmptyArmTable,
     HorizonExceedsTable,
     ParseError,
@@ -251,23 +249,22 @@ class TestRandomArm:
 
 
 class TestIllegal:
+    # fixed cases: the brute force and the kernel's scan agree, and the
+    # box is or is not among the illegal ones
+    @staticmethod
+    def illegal(lam, b, a):
+        want = TestIllegalBoxes.brute_force(lam.parts, a)
+        assert illegal_boxes(lam, a) == want
+        return b in [box for box, _, _ in want]
+
     def test_wide_box(self):
-        assert is_illegal_box(WIDE, Box(3, 2), horizontal_arm(4)) is True
+        assert self.illegal(WIDE, Box(3, 2), horizontal_arm(4)) is True
 
     def test_small_hook(self):
-        assert is_illegal_box(Partition([1]), Box(1, 1), horizontal_arm(5)) is False
+        assert self.illegal(Partition([1]), Box(1, 1), horizontal_arm(5)) is False
 
     def test_staircase_corner(self):
-        assert is_illegal_box(Partition([2, 1]), Box(1, 1), horizontal_arm(3)) is True
-
-    def test_outside(self):
-        with pytest.raises(BoxOutside):
-            is_illegal_box(Partition([1]), Box(2, 2), horizontal_arm(3))
-
-    def test_table_too_short(self):
-        a = arm_from_values(3, (1,))
-        with pytest.raises(HorizonExceedsTable):
-            is_illegal_box(Partition([5, 2]), Box(1, 1), a)  # hook 6 needs A_2
+        assert self.illegal(Partition([2, 1]), Box(1, 1), horizontal_arm(3)) is True
 
 
 class TestIllegalBoxes:
@@ -304,12 +301,6 @@ class TestIllegalBoxes:
         # boxes under the unchecked table, A_2 requested of the short one
         assert {(2, list), (3, tuple)} <= seen
 
-    def test_matches_is_illegal_box(self):
-        a = horizontal_arm(4)
-        got = [b for b, _, _ in illegal_boxes(WIDE, a)]
-        assert got == [b for b in WIDE.boxes() if is_illegal_box(WIDE, b, a)]
-        assert Box(3, 2) in got
-
     def test_reads_columns_once(self, monkeypatch):
         # one conjugate per partition, not one per box
         calls = []
@@ -325,7 +316,7 @@ class TestIllegalBoxes:
         assert len(calls) == 1
 
     def test_table_too_short(self):
-        # raises where is_illegal_box does on the boxes in reading order
+        # raises at the first box in reading order whose hook needs A_2
         a = arm_from_values(3, (1,))
         with pytest.raises(HorizonExceedsTable) as exc:
             illegal_boxes(Partition([5, 2]), a)

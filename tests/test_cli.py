@@ -626,7 +626,9 @@ def arm_path(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 def test_fuzz_exit_codes(arm_path, n, command, obj, word, arm, arm_tokens,
                          horizon):
-    """Every run exits 0, 1 or 2; argparse may exit 2; nothing else escapes."""
+    """Every run exits 0, 1 or 2; argparse may exit 2; nothing else escapes.
+    An exit 2 from ``main`` prints nothing on stdout and one ``error: ``
+    line on stderr."""
     arm_path.write_text(arm_tokens)
     if arm == "file":
         arm = f"file:{arm_path}"
@@ -638,11 +640,15 @@ def test_fuzz_exit_codes(arm_path, n, command, obj, word, arm, arm_tokens,
     else:
         argv = ["--n", str(n), "--arm", f"file:{arm_path}", command,
                 "--horizon", str(horizon)]
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             assert exc.code == 2
             return
     assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().split("\n")
+        assert len(lines) == 2 and lines[0].startswith("error: ") and lines[1] == "", lines

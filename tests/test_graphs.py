@@ -902,7 +902,7 @@ class TestExport:
             + '\n  ],\n  "edges": [\n'
             + edge("True", "1.0", "False") + ",\n" + edge(4, 0, 2) + "\n  ]\n}\n"
         )
-        with pytest.raises(AttributeError):
+        with pytest.raises(ParseError, match=r"^vertex 0 label is not a string: 5$"):
             export_dot(g)
         assert export_dot(g._replace(vertices=["a", "b"])) == (
             'digraph crystal {\n  v0 [label="a"];\n  v1 [label="b"];\n'

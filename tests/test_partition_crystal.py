@@ -8,7 +8,7 @@ from affinecrystal import (
     Partition,
     arm_from_values,
     bracket_string,
-    box_order_gt,
+    content,
     e_box,
     e_up,
     eps_phi,
@@ -16,14 +16,13 @@ from affinecrystal import (
     f_down,
     height,
     horizontal_arm,
-    horizontal_key,
     is_regular,
     parse_partition,
     random_arm,
     residue,
 )
-from affinecrystal._kernel_py import corner_tokens, horizontal_value
-from affinecrystal.errors import HorizonExceedsTable, ParseError, ResidueMismatch, SameBox
+from affinecrystal._kernel_py import corner_tokens, horizontal_value, precedes
+from affinecrystal.errors import HorizonExceedsTable, ParseError
 from affinecrystal.graphs import compare_models
 from helpers import (
     oracle_good_node,
@@ -47,27 +46,23 @@ def colored_corners(lam, i, n):
     ]
 
 
+def gt(b, bp, a):
+    """The kernel comparator that sorts table-arm corners: whether ``bp``
+    strictly precedes ``b`` in the order of ``a``."""
+    return precedes(b.row, b.col, bp.row, bp.col, a.n, a.values)
+
+
 class TestOrder:
     def test_height_gap(self):
-        assert box_order_gt(Box(4, 2), Box(2, 8), H4) is True
-        assert box_order_gt(Box(2, 8), Box(4, 2), H4) is False
+        for order in (gt, oracle_precedes):
+            assert order(Box(4, 2), Box(2, 8), H4) is True
+            assert order(Box(2, 8), Box(4, 2), H4) is False
 
     def test_equal_height_content_breaks_tie(self):
         # the two height-11 corners of the big example partition
-        assert box_order_gt(Box(11, 1), Box(1, 11), H4) is True
-        assert box_order_gt(Box(1, 11), Box(11, 1), H4) is False
-
-    def test_same_box(self):
-        with pytest.raises(SameBox):
-            box_order_gt(Box(1, 1), Box(1, 1), H4)
-
-    def test_same_content(self):
-        with pytest.raises(SameBox):
-            box_order_gt(Box(1, 1), Box(2, 2), H4)
-
-    def test_residue_mismatch(self):
-        with pytest.raises(ResidueMismatch):
-            box_order_gt(Box(1, 1), Box(1, 2), H4)
+        for order in (gt, oracle_precedes):
+            assert order(Box(11, 1), Box(1, 11), H4) is True
+            assert order(Box(1, 11), Box(11, 1), H4) is False
 
     def test_antisymmetry_and_transitivity(self):
         rng = random.Random(77)
@@ -77,30 +72,27 @@ class TestOrder:
                 for i in range(n):
                     corners = colored_corners(lam, i, n)
                     for b, bp in combinations(corners, 2):
-                        assert box_order_gt(b, bp, a) != box_order_gt(bp, b, a)
+                        assert gt(b, bp, a) != gt(bp, b, a)
+                        assert gt(b, bp, a) == oracle_precedes(b, bp, a)
                     ordered = sorted(
                         corners,
-                        key=lambda b: sum(
-                            box_order_gt(c, b, a) for c in corners if c != b
-                        ),
+                        key=lambda b: sum(gt(c, b, a) for c in corners if c != b),
                     )
                     # sorting by dominance count only works if the order is
                     # total and transitive; verify pairwise that later
                     # entries dominate earlier ones
                     for x in range(len(ordered)):
                         for z in range(x + 1, len(ordered)):
-                            assert box_order_gt(ordered[x], ordered[z], a)
-
+                            assert gt(ordered[x], ordered[z], a)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_table_arm_corners_follow_definition(self, n):
-        # corner_tokens sorts table-arm corners with the kernel comparator;
-        # the order it yields must be the definition's, pair by pair.  The
-        # sort only ever asks it about a later-built corner against an
-        # earlier one, so box_order_gt, which shares the comparator, is
-        # asked both ways round too
-        for seed in (1, 2, 3):
-            a = random_arm(n, 40, seed)
+        # corner_tokens sorts table-arm corners with the kernel comparator
+        # and horizontal ones by their tokens reversed; the order it yields
+        # must be the definition's, pair by pair.  The sort only ever asks
+        # the comparator about a later-built corner against an earlier
+        # one, so it is asked both ways round here too
+        for a in [random_arm(n, 40, seed) for seed in (1, 2, 3)] + [horizontal_arm(n)]:
             for m in range(13):
                 for parts in oracle_partitions(m):
                     for i in range(n):
@@ -110,19 +102,16 @@ class TestOrder:
                         ]
                         for x, z in combinations(range(len(boxes)), 2):
                             b, bp = boxes[z], boxes[x]
-                            assert oracle_precedes(b, bp, a), (parts, i, seed)
-                            assert box_order_gt(b, bp, a)
-                            assert not box_order_gt(bp, b, a)
+                            assert oracle_precedes(b, bp, a), (parts, i, a.descriptor)
+                            assert gt(b, bp, a)
+                            assert not gt(bp, b, a)
 
 
 class TestHorizontalKey:
-    def test_values(self):
-        assert horizontal_key(Box(1, 11)) == (11, 10)
-        assert horizontal_key(Box(1, 1)) == (1, 0)
-
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_matches_generic_comparator(self, n):
-        # the generic comparator is the oracle, on regular partitions
+        # on regular partitions the bracket string reads its corners by
+        # (height, content) descending, and that is the definition's order
         rng = random.Random(n * 31)
         a = horizontal_arm(n)
         seen = 0
@@ -133,10 +122,10 @@ class TestHorizontalKey:
             seen += 1
             for i in range(n):
                 corners = colored_corners(lam, i, n)
-                by_key = sorted(corners, key=horizontal_key, reverse=True)
-                for x in range(len(by_key)):
-                    for z in range(x + 1, len(by_key)):
-                        assert box_order_gt(by_key[z], by_key[x], a)
+                by_key = sorted(corners, key=lambda b: (height(b), content(b)), reverse=True)
+                assert list(bracket_string(lam, i, a).payloads) == by_key
+                for x, z in combinations(range(len(by_key)), 2):
+                    assert oracle_precedes(by_key[z], by_key[x], a)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_kernel_key_matches_table_comparator(self, n):
