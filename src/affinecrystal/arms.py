@@ -21,10 +21,8 @@ from typing import Iterable, NamedTuple, Sequence
 from . import _backend
 from ._kernel_py import arm_value, horizontal_value  # noqa: F401 (public here)
 from .errors import (
-    AxiomIIViolation,
-    AxiomIViolation,
+    ArmAxiomViolation,
     BoundOutOfRange,
-    EmptyArmTable,
     HorizonExceedsTable,
     ParseError,
 )
@@ -110,7 +108,7 @@ def unchecked_arm(n: int, values: Iterable[int],
     The table must hold 1..MAX_ARM_HORIZON values."""
     values = tuple(values)
     if not values:
-        raise EmptyArmTable("arm table must be nonempty")
+        raise BoundOutOfRange("arm table must be nonempty")
     _check_horizon(len(values))
     return ArmSequence(n, values, descriptor)
 
@@ -144,11 +142,7 @@ def arm_from_values(n: int, values: Iterable[int],
     a = unchecked_arm(n, values, descriptor)
     bad = validate_arm(a, a.horizon)
     if bad:
-        v = bad[0]
-        if v.axiom == 1:
-            raise AxiomIViolation(v.t, a.value(v.t), n)
-        raise AxiomIIViolation(v.t, v.u, a.value(v.t + v.u),
-                               a.value(v.t) + a.value(v.u))
+        raise ArmAxiomViolation(a, bad[0].t, bad[0].u)
     return a
 
 

@@ -18,7 +18,7 @@ from .arms import (
     illegal_boxes,
     validate_arm,
 )
-from .errors import CrystalError
+from .errors import BoundOutOfRange, CrystalError, ParseError, UnknownChoice
 from .graphs import (
     MAX_COUNT_SIZE,
     MONOMIAL_MODEL,
@@ -109,7 +109,7 @@ def _parse_word(word: str, n: int) -> list[tuple[str, int]]:
     for tok in word.split(","):
         tok = tok.strip()
         if len(tok) < 2 or tok[0] not in "ef" or not tok[1:].isdecimal():
-            raise CrystalError(f"bad operator token {tok!r}")
+            raise ParseError(f"bad operator token {tok!r}")
         ops.append((tok[0], _number(tok[1:], "color") % n))
     return ops
 
@@ -220,10 +220,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.n < 3:
-            raise CrystalError(f"--n must be at least 3, got {args.n}")
+            raise BoundOutOfRange(f"--n must be at least 3, got {args.n}")
         if (args.command == "graph") == (args.format == "text"):
             needs = "dot or --format json" if args.command == "graph" else "text"
-            raise CrystalError(f"{args.command} output needs --format {needs}")
+            raise UnknownChoice(f"{args.command} output needs --format {needs}")
         return _HANDLERS[args.command](args)
     except (CrystalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,10 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package: one class per kind of refusal.
 
 Everything derives from :class:`CrystalError` so callers can catch the whole
-family at once; most leaves also subclass ``ValueError`` because they signal
-bad arguments rather than internal failures.
+family at once; the kinds subclass ``ValueError`` because they signal bad
+arguments rather than internal failures, except :class:`HorizonExceedsTable`,
+a ``LookupError``.  The command line prints ``error: <message>`` and exits 2
+for every one of them.
 """
 
 
@@ -11,72 +13,41 @@ class CrystalError(Exception):
 
 
 class ParseError(CrystalError, ValueError):
-    """Malformed partition, monomial, operator word, or graph text, or a
-    monomial factor whose residue, k or exponent is not an int."""
-
-
-class NotDecreasing(CrystalError, ValueError):
-    """Partition parts increase somewhere."""
-
-
-class NonPositivePart(CrystalError, ValueError):
-    """Partition contains a part that is zero or negative."""
-
-
-class RankTooSmall(CrystalError, ValueError):
-    """The rank n must be an int of at least 3."""
+    """Malformed partition, monomial, operator word, arm table or graph text:
+    parts that are not positive ints or increase, a zero exponent, or a
+    residue, k, exponent, seed or index that is not an int."""
 
 
 class BoundOutOfRange(CrystalError, ValueError):
-    """A depth, size, horizon, index or number is outside its allowed range."""
+    """A rank, depth, size, horizon, residue, index or number is outside its
+    allowed range, or a rank is odd where only even ranks are defined."""
 
 
 class UnknownChoice(CrystalError, ValueError):
-    """An argument is none of the values it may take: model, mode or sign."""
+    """An argument is none of the values it may take: model, mode, sign, or
+    the output format of a command."""
 
 
 class BoxOutside(CrystalError, ValueError):
-    """Box coordinates fall outside the diagram of the partition."""
-
-
-class NotAddable(CrystalError, ValueError):
-    """Box is not an addable corner of the partition."""
-
-
-class NotRemovable(CrystalError, ValueError):
-    """Box is not a removable corner of the partition."""
-
-
-class EmptyArmTable(CrystalError, ValueError):
-    """A table-backed arm sequence needs at least one value."""
+    """Box coordinates fall outside the diagram of the partition, or the box
+    is not an addable (removable) corner of it."""
 
 
 class ArmAxiomViolation(CrystalError, ValueError):
-    """An arm-sequence table fails one of the two defining conditions."""
+    """Arm table ``a`` fails condition (i), A_t in [t-1, (n-1)t], at ``t``
+    (``u`` None), or condition (ii), A_(t+u) in {A_t + A_u, A_t + A_u + 1},
+    at ``(t, u)``."""
 
-
-class AxiomIViolation(ArmAxiomViolation):
-    """A_t falls outside [t-1, (n-1)t]."""
-
-    def __init__(self, t: int, value: int, n: int):
-        self.t = t
-        self.value = value
-        super().__init__(
-            f"A_{t} = {value} outside [{t - 1}, {(n - 1) * t}] for n = {n}"
-        )
-
-
-class AxiomIIViolation(ArmAxiomViolation):
-    """A_(t+u) misses the window {A_t + A_u, A_t + A_u + 1}."""
-
-    def __init__(self, t: int, u: int, value: int, lo: int):
+    def __init__(self, a, t: int, u: int | None = None):
         self.t = t
         self.u = u
-        self.value = value
-        super().__init__(
-            f"A_{t + u} = {value} outside {{{lo}, {lo + 1}}} = "
-            f"{{A_{t}+A_{u}, A_{t}+A_{u}+1}}"
-        )
+        if u is None:
+            text = f"A_{t} = {a.value(t)} outside [{t - 1}, {(a.n - 1) * t}] for n = {a.n}"
+        else:
+            lo = a.value(t) + a.value(u)
+            text = (f"A_{t + u} = {a.value(t + u)} outside {{{lo}, {lo + 1}}} = "
+                    f"{{A_{t}+A_{u}, A_{t}+A_{u}+1}}")
+        super().__init__(text)
 
 
 class HorizonExceedsTable(CrystalError, LookupError):
@@ -86,18 +57,6 @@ class HorizonExceedsTable(CrystalError, LookupError):
         self.t = t
         self.horizon = horizon
         super().__init__(f"A_{t} requested but table only covers t <= {horizon}")
-
-
-class ResidueOutOfRange(CrystalError, ValueError):
-    """Monomial text mentions a residue outside [0, n)."""
-
-
-class ZeroExponent(CrystalError, ValueError):
-    """Monomial text carries an explicit ^0 exponent."""
-
-
-class CompatibilityUndefinedForOddN(CrystalError, ValueError):
-    """The parity condition on monomials is only defined for even rank."""
 
 
 class NotRegular(CrystalError, ValueError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from . import _backend, isomorphism
 from .arms import ArmSequence, horizontal_arm
@@ -326,6 +326,12 @@ def count_regular(n: int, a: ArmSequence, max_size: int) -> list[int]:
     return _backend.kernel.regular_counts(n, a.values, max_size)
 
 
+def _refuse_label(g: CrystalGraph) -> NoReturn:
+    """ParseError naming the first vertex whose label is not a string."""
+    vid, label = next((v, x) for v, x in enumerate(g.vertices) if not isinstance(x, str))
+    raise ParseError(f"vertex {vid} label is not a string: {label!r}") from None
+
+
 def export_dot(g: CrystalGraph) -> str:
     """GraphViz text; node names v<id>, node label the canonical text with
     each backslash and double quote escaped, edge label the color.  A
@@ -336,8 +342,7 @@ def export_dot(g: CrystalGraph) -> str:
             for vid, label in enumerate(g.vertices)
         ])
     except (AttributeError, TypeError):
-        vid, label = next((v, x) for v, x in enumerate(g.vertices) if not isinstance(x, str))
-        raise ParseError(f"vertex {vid} label is not a string: {label!r}") from None
+        _refuse_label(g)
     edges = "".join([f'  v{src} -> v{dst} [label="{color}"];\n' for src, dst, color in g.edges])
     return f"digraph crystal {{\n{nodes}{edges}}}\n"
 
@@ -346,15 +351,15 @@ def export_json(g: CrystalGraph) -> str:
     """Schema-stable JSON, byte-deterministic for a given graph.
 
     Writes the layout of ``json.dumps(doc, indent=2)`` directly.  Labels go
-    through ``encode_basestring_ascii``, which json.dumps calls for a string
-    (a hand-built label that is not one gets json.dumps text); the other
+    through ``encode_basestring_ascii``, which json.dumps calls for a string,
+    and a hand-built label that is not one raises ``ParseError``; the other
     scalars go through json.dumps.
     """
     dumps = json.dumps
     try:
         labels = list(map(encode_basestring_ascii, g.vertices))
     except TypeError:
-        labels = list(map(dumps, g.vertices))
+        _refuse_label(g)
     vertices = ",\n".join([
         f'    {{\n      "id": {vid},\n      "label": {label}\n    }}'
         for vid, label in enumerate(labels)

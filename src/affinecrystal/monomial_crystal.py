@@ -27,15 +27,7 @@ import re
 from typing import NamedTuple
 
 from .brackets import CLOSE, OPEN, BracketString
-from .errors import (
-    BoundOutOfRange,
-    CompatibilityUndefinedForOddN,
-    ParseError,
-    RankMismatch,
-    ResidueOutOfRange,
-    UnknownChoice,
-    ZeroExponent,
-)
+from .errors import BoundOutOfRange, ParseError, RankMismatch, UnknownChoice
 from .partitions import _color, check_rank
 
 
@@ -248,15 +240,15 @@ def parse_monomial(text: str, n: int) -> Monomial:
             i = int(residue_digits)
         except ValueError:
             # the residue is digits, so int() refused it for its length
-            raise ResidueOutOfRange(
+            raise BoundOutOfRange(
                 f"residue of {len(residue_digits)} digits outside [0, {n})"
             ) from None
         if not 0 <= i < n:
-            raise ResidueOutOfRange(f"residue {i} outside [0, {n})")
+            raise BoundOutOfRange(f"residue {i} outside [0, {n})")
         k = _number(m.group(2), "k")
         u = 1 if m.group(3) is None else _number(m.group(3), "exponent")
         if u == 0:
-            raise ZeroExponent(f"factor {term!r} has exponent 0")
+            raise ParseError(f"factor {term!r} has exponent 0")
         res[i].append((k, u))
     return _canonical(_built(res))
 
@@ -394,9 +386,7 @@ def is_dominant(m: Monomial) -> bool:
 def is_compatible(m: Monomial) -> bool:
     """Support obeys k = i mod 2; only defined for even rank."""
     if m.n % 2 != 0:
-        raise CompatibilityUndefinedForOddN(
-            f"compatibility needs even rank, got n = {m.n}"
-        )
+        raise BoundOutOfRange(f"compatibility needs even rank, got n = {m.n}")
     return all(k % 2 == i % 2 for i, terms in enumerate(m._res) for k, _ in terms)
 
 

@@ -18,16 +18,7 @@ from typing import Iterator, NamedTuple
 
 from ._kernel_py import _add, _remove, columns, corners
 from .brackets import CLOSE, OPEN
-from .errors import (
-    BoundOutOfRange,
-    BoxOutside,
-    NonPositivePart,
-    NotAddable,
-    NotDecreasing,
-    NotRemovable,
-    ParseError,
-    RankTooSmall,
-)
+from .errors import BoundOutOfRange, BoxOutside, ParseError
 
 
 class Box(NamedTuple):
@@ -56,9 +47,9 @@ MAX_RANK = 100
 
 
 def check_rank(n: int) -> None:
-    """RankTooSmall unless n is an int >= 3; BoundOutOfRange above MAX_RANK."""
+    """BoundOutOfRange unless n is an int in 3..MAX_RANK."""
     if type(n) is not int or n < 3:
-        raise RankTooSmall(f"rank must be an int >= 3, got {n!r}")
+        raise BoundOutOfRange(f"rank must be an int >= 3, got {n!r}")
     if n > MAX_RANK:
         raise BoundOutOfRange(f"rank {n} is above the ceiling of {MAX_RANK}")
 
@@ -90,12 +81,12 @@ class Partition:
         parts = tuple(parts)
         for p in parts:
             if not isinstance(p, int) or isinstance(p, bool):
-                raise NonPositivePart(f"parts must be integers, got {p!r}")
+                raise ParseError(f"parts must be integers, got {p!r}")
             if p <= 0:
-                raise NonPositivePart(f"parts must be positive, got {p}")
+                raise ParseError(f"parts must be positive, got {p}")
         for a, b in zip(parts, parts[1:]):
             if a < b:
-                raise NotDecreasing(f"parts increase: {a} < {b}")
+                raise ParseError(f"parts increase: {a} < {b}")
         object.__setattr__(self, "parts", parts)
 
     def __setattr__(self, name, value):
@@ -150,12 +141,12 @@ class Partition:
 
     def add_box(self, b: Box) -> "Partition":
         if b not in self.addable_boxes():
-            raise NotAddable(f"{b} is not addable to {self}")
+            raise BoxOutside(f"{b} is not addable to {self}")
         return _trusted(_add(self.parts, b.row))
 
     def remove_box(self, b: Box) -> "Partition":
         if b not in self.removable_boxes():
-            raise NotRemovable(f"{b} is not removable from {self}")
+            raise BoxOutside(f"{b} is not removable from {self}")
         return _trusted(_remove(self.parts, b.row))
 
 

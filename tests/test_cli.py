@@ -616,30 +616,46 @@ def arm_path(tmp_path_factory):
 
 @given(
     n=st.integers(3, 6),
-    command=st.sampled_from(["apply", "psi", "check", "validate-arm"]),
+    command=st.sampled_from(["apply", "psi", "check", "validate-arm", "graph",
+                             "compare", "count"]),
     obj=st.one_of(PART_TEXT, MONOMIAL_TEXT),
     word=WORD,
     arm=ARM,
+    arm2=ARM,
     arm_tokens=ARM_TOKENS,
     horizon=st.integers(-1, 8),
+    fmt=st.sampled_from(["text", "json", "dot"]),
+    size=st.integers(-1, 6),
+    models=st.sampled_from([("partition", "monomial"), ("monomial", "partition"),
+                            ("partition", "partition")]),
 )
-@settings(max_examples=300, deadline=None)
-def test_fuzz_exit_codes(arm_path, n, command, obj, word, arm, arm_tokens,
-                         horizon):
+@settings(max_examples=600, deadline=None)
+def test_fuzz_exit_codes(arm_path, n, command, obj, word, arm, arm2, arm_tokens,
+                         horizon, fmt, size, models):
     """Every run exits 0, 1 or 2; argparse may exit 2; nothing else escapes.
     An exit 2 from ``main`` prints nothing on stdout and one ``error: ``
-    line on stderr."""
+    line on stderr.  graph, compare and count take a drawn ``--format``;
+    compare runs with ``--use-psi`` in both model orders, and partition
+    against partition under a second arm."""
     arm_path.write_text(arm_tokens)
-    if arm == "file":
-        arm = f"file:{arm_path}"
+    arm, arm2 = (f"file:{arm_path}" if a == "file" else a for a in (arm, arm2))
     argv = ["--n", str(n), "--arm", arm, command]
     if command == "apply":
         argv += [obj, word]
     elif command in ("psi", "check"):
         argv.append(obj)
-    else:
+    elif command == "validate-arm":
         argv = ["--n", str(n), "--arm", f"file:{arm_path}", command,
                 "--horizon", str(horizon)]
+    elif command == "graph":
+        argv = ["--format", fmt, *argv, "--model", models[0], "--depth", str(size)]
+    elif command == "compare":
+        argv = ["--format", fmt, *argv, "--model", models[0], "--model2", models[1],
+                "--arm2", arm2, "--depth", str(size)]
+        if models[0] != models[1]:
+            argv.append("--use-psi")
+    else:
+        argv = ["--format", fmt, *argv, "--max", str(size)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

@@ -43,7 +43,6 @@ from affinecrystal.errors import (
     HorizonExceedsTable,
     ParseError,
     RankMismatch,
-    RankTooSmall,
     UnknownChoice,
 )
 from helpers import (
@@ -115,7 +114,7 @@ class TestGeneration:
     @pytest.mark.parametrize("model", ["partition", "monomial"])
     @pytest.mark.parametrize("n", [3.5, 4.0, "3", True, None])
     def test_rank_not_int(self, model, n):
-        with pytest.raises(RankTooSmall):
+        with pytest.raises(BoundOutOfRange, match=r"^rank must be an int >= 3, got "):
             generate_graph(model, n, 2)
 
     def test_bad_model(self):
@@ -729,9 +728,9 @@ class TestCounting:
             count_regular(3, horizontal_arm(3), max_size)
 
     def test_rank_not_int(self):
-        with pytest.raises(RankTooSmall):
+        with pytest.raises(BoundOutOfRange, match=r"^rank must be an int >= 3, got "):
             count_regular(4.0, horizontal_arm(4.0), 3)
-        with pytest.raises(RankTooSmall):
+        with pytest.raises(BoundOutOfRange, match=r"^rank must be an int >= 3, got "):
             count_regular(4.0, horizontal_arm(4), 3)
 
 
@@ -887,27 +886,29 @@ class TestExport:
         assert export_dot(g) == oracle_export_dot(g)
 
     def test_hand_built_scalars_keep_their_text(self):
-        # a hand-built record may hold what generate_graph never does: a
-        # label goes through json.dumps, an edge field prints as str() does,
-        # and DOT refuses a label that is not text
+        # a hand-built record may hold what generate_graph never does: an
+        # edge field prints as str() does, the other scalars go through
+        # json.dumps, and both writers refuse a label that is not text
         g = CrystalGraph(model="partition", n=3, depth=2.0, arm=None,
-                         vertices=[5, None, True, 2.5, "x"],
+                         vertices=["5", "x"],
                          edges=[(True, 1.0, False), (4, 0, 2)], root=True)
         label = '    {{\n      "id": {},\n      "label": {}\n    }}'.format
         edge = '    {{\n      "src": {},\n      "dst": {},\n      "color": {}\n    }}'.format
         assert export_json(g) == (
             '{\n  "model": "partition",\n  "n": 3,\n  "arm": null,\n  "depth": 2.0,\n'
             '  "root": true,\n  "vertices": [\n'
-            + ",\n".join(label(*v) for v in enumerate(["5", "null", "true", "2.5", '"x"']))
+            + ",\n".join(label(*v) for v in enumerate(['"5"', '"x"']))
             + '\n  ],\n  "edges": [\n'
             + edge("True", "1.0", "False") + ",\n" + edge(4, 0, 2) + "\n  ]\n}\n"
         )
-        with pytest.raises(ParseError, match=r"^vertex 0 label is not a string: 5$"):
-            export_dot(g)
-        assert export_dot(g._replace(vertices=["a", "b"])) == (
-            'digraph crystal {\n  v0 [label="a"];\n  v1 [label="b"];\n'
+        assert export_dot(g) == (
+            'digraph crystal {\n  v0 [label="5"];\n  v1 [label="x"];\n'
             '  vTrue -> v1.0 [label="False"];\n  v4 -> v0 [label="2"];\n}\n'
         )
+        bad = g._replace(vertices=["a", 5, None, True, 2.5])
+        for export in (export_json, export_dot):
+            with pytest.raises(ParseError, match=r"^vertex 1 label is not a string: 5$"):
+                export(bad)
 
 
 @functools.cache

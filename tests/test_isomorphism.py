@@ -24,7 +24,7 @@ from affinecrystal import (
     stats,
     y,
 )
-from affinecrystal.errors import NotRegular, RankTooSmall
+from affinecrystal.errors import BoundOutOfRange, NotRegular
 from helpers import (
     box_tokens_as_slots,
     cancel_matching_slot_pairs,
@@ -67,7 +67,7 @@ class TestCornerMap:
         assert got == f_m(y(3, 0, 0), 0)
 
     def test_rank_guard(self):
-        with pytest.raises(RankTooSmall):
+        with pytest.raises(BoundOutOfRange, match=r"^rank must be an int >= 3, got "):
             partition_to_monomial(Partition(), 2)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
