@@ -10,14 +10,12 @@ and exports the resulting colored digraphs.
 from ._backend import backend_name
 from .arms import (
     ArmSequence,
-    ArmViolation,
     arm_from_descriptor,
     arm_from_file,
     arm_from_values,
     horizontal_arm,
     is_regular,
     random_arm,
-    unchecked_arm,
     validate_arm,
 )
 from .brackets import CLOSE, OPEN, BracketString

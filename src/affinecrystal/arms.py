@@ -16,7 +16,7 @@ raise rather than extrapolate, since a silent guess could break (ii).
 from __future__ import annotations
 
 import random
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator
 
 from . import _backend
 from ._kernel_py import arm_value, horizontal_value  # noqa: F401 (public here)
@@ -48,20 +48,23 @@ def _check_horizon(horizon) -> None:
 class ArmSequence:
     """Rank ``n`` plus a provider for the values ``A_t``.
 
-    ``values is None`` means the horizontal formula; otherwise a finite
-    table of ints (ParseError for any other type, bools included) defined
-    for ``1 <= t <= len(values)``.  ``descriptor`` records how the
-    sequence was obtained ("horizontal", "file:PATH", "random:SEED:T") and
-    travels into exported graphs.
+    ``values is None`` means the horizontal formula; otherwise a table of
+    1..MAX_ARM_HORIZON ints (ParseError for any other type, bools
+    included) defined for ``1 <= t <= len(values)``, not checked against
+    the axioms.  ``descriptor`` records how the sequence was obtained
+    ("horizontal", "file:PATH", "random:SEED:T") for exported graphs.
     """
 
     __slots__ = ("n", "values", "descriptor")
 
-    def __init__(self, n: int, values: Sequence[int] | None = None,
+    def __init__(self, n: int, values: Iterable[int] | None = None,
                  descriptor: str | None = None):
         check_rank(n)
         if values is not None:
             values = tuple(values)
+            if not values:
+                raise BoundOutOfRange("arm table must be nonempty")
+            _check_horizon(len(values))
             for t, v in enumerate(values, 1):
                 if type(v) is not int:  # bools included
                     raise ParseError(f"arm value A_{t} = {v!r} is not an int")
@@ -88,70 +91,50 @@ class ArmSequence:
         return f"ArmSequence(n={self.n}, table of length {self.horizon})"
 
 
-class ArmViolation(NamedTuple):
-    """One failed condition: axiom 1 at index t, or axiom 2 at (t, u)."""
-
-    axiom: int
-    t: int
-    u: int | None = None
-
-
 def horizontal_arm(n: int) -> ArmSequence:
-    check_rank(n)
     return ArmSequence(n, None, "horizontal")
 
 
-def unchecked_arm(n: int, values: Iterable[int],
-                  descriptor: str | None = None) -> ArmSequence:
-    """Table-backed sequence with no validation; feed to :func:`validate_arm`.
-
-    The table must hold 1..MAX_ARM_HORIZON values."""
-    values = tuple(values)
-    if not values:
-        raise BoundOutOfRange("arm table must be nonempty")
-    _check_horizon(len(values))
-    return ArmSequence(n, values, descriptor)
-
-
-def validate_arm(a: ArmSequence, horizon: int) -> list[ArmViolation]:
-    """Every failed condition with t (and t + u) up to ``horizon``.
-
-    Checks axiom (i) for all t, then axiom (ii) for all pairs t <= u with
-    t + u <= horizon; the pairwise sweep is quadratic, which is fine at
-    the scales these tables see; ``horizon`` must be at most
+def validate_arm(a: ArmSequence, horizon: int) -> list[ArmAxiomViolation]:
+    """One ArmAxiomViolation per failed condition with t (and t + u) up to
+    ``horizon``: axiom (i) for all t, then axiom (ii) for all pairs t <= u
+    with t + u <= horizon.  The pairwise sweep is quadratic, which is fine
+    at the scales these tables see; ``horizon`` must be at most
     MAX_ARM_HORIZON.
     """
     _check_horizon(horizon)
     if a.horizon is not None and horizon > a.horizon:
         raise HorizonExceedsTable(horizon, a.horizon)
-    bad = []
+    return list(_violations(a, horizon))
+
+
+def _violations(a: ArmSequence, horizon: int) -> Iterator[ArmAxiomViolation]:
+    """validate_arm's records one at a time, for a caller that needs the first."""
     for t in range(1, horizon + 1):
         if not (t - 1 <= a.value(t) <= (a.n - 1) * t):
-            bad.append(ArmViolation(1, t))
+            yield ArmAxiomViolation(a, t)
     for t in range(1, horizon):
         for u in range(t, horizon - t + 1):
             lo = a.value(t) + a.value(u)
             if a.value(t + u) not in (lo, lo + 1):
-                bad.append(ArmViolation(2, t, u))
-    return bad
+                yield ArmAxiomViolation(a, t, u)
 
 
 def arm_from_values(n: int, values: Iterable[int],
                     descriptor: str | None = None) -> ArmSequence:
-    """Table-backed sequence, validated on construction over its full length."""
-    a = unchecked_arm(n, values, descriptor)
-    bad = validate_arm(a, a.horizon)
-    if bad:
-        raise ArmAxiomViolation(a, bad[0].t, bad[0].u)
+    """Table-backed sequence; raises its first axiom violation, if any."""
+    a = ArmSequence(n, values, descriptor)
+    for first in _violations(a, a.horizon):
+        raise ArmAxiomViolation(a, first.t, first.u)
     return a
 
 
-def arm_from_file(n: int, path: str, validate: bool = True) -> ArmSequence:
+def arm_from_file(n: int, path: str) -> ArmSequence:
     """Load whitespace-separated integers A_1 A_2 ... from a text file.
 
     A file over 32 bytes per value of the longest table raises
-    BoundOutOfRange unparsed.  With ``validate`` false the table is loaded
-    as is, for :func:`validate_arm` to list every violation."""
+    BoundOutOfRange unparsed; the table is validated as by
+    :func:`arm_from_values`, and the violation's ``a`` holds it."""
     with open(path, "rb") as fh:
         data = fh.read(_ARM_FILE_BYTES + 1)
     if len(data) > _ARM_FILE_BYTES:
@@ -160,8 +143,7 @@ def arm_from_file(n: int, path: str, validate: bool = True) -> ArmSequence:
         values = [int(tok) for tok in data.decode("utf-8").split()]
     except ValueError as exc:  # UnicodeDecodeError included
         raise ParseError(f"bad arm table in {path}: {exc}") from None
-    make = arm_from_values if validate else unchecked_arm
-    return make(n, values, f"file:{path}")
+    return arm_from_values(n, values, f"file:{path}")
 
 
 def random_arm(n: int, horizon: int, seed: int) -> ArmSequence:
@@ -198,15 +180,14 @@ def random_arm(n: int, horizon: int, seed: int) -> ArmSequence:
     return ArmSequence(n, values, f"random:{seed}:{horizon}")
 
 
-def arm_from_descriptor(n: int, text: str, validate: bool = True) -> ArmSequence:
+def arm_from_descriptor(n: int, text: str) -> ArmSequence:
     """Build from CLI-style text: horizontal | file:PATH | random:SEED:T.
 
-    ``validate`` is passed on to :func:`arm_from_file`; the other two
-    kinds are valid by construction."""
+    Only a file can break the axioms; :func:`arm_from_file` refuses it."""
     if text == "horizontal":
         return horizontal_arm(n)
     if text.startswith("file:"):
-        return arm_from_file(n, text[len("file:"):], validate)
+        return arm_from_file(n, text[len("file:"):])
     if text.startswith("random:"):
         fields = text.split(":")
         if len(fields) != 3:

@@ -18,7 +18,7 @@ from .arms import (
     illegal_boxes,
     validate_arm,
 )
-from .errors import BoundOutOfRange, CrystalError, ParseError, UnknownChoice
+from .errors import ArmAxiomViolation, CrystalError, ParseError, UnknownChoice
 from .graphs import (
     MAX_COUNT_SIZE,
     MONOMIAL_MODEL,
@@ -33,7 +33,7 @@ from .graphs import compare_graphs  # noqa: F401 (patched by the tracer)
 from .isomorphism import partition_to_monomial
 from .monomial_crystal import _number, e_m, f_m, format_monomial, parse_monomial
 from .partition_crystal import e_up, f_down
-from .partitions import format_partition, parse_partition
+from .partitions import check_rank, format_partition, parse_partition
 
 
 # built once per process, on the first main call: building it costs about
@@ -186,22 +186,13 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_validate_arm(args) -> int:
-    # load without eager validation so every violation can be listed
-    a = arm_from_descriptor(args.n, args.arm, validate=False)
+    try:
+        a = arm_from_descriptor(args.n, args.arm)
+    except ArmAxiomViolation as exc:  # list every violation, not the first
+        a = exc.a
     bad = validate_arm(a, args.horizon)
-    if not bad:
-        print("ok")
-        return 0
-    for v in bad:
-        if v.axiom == 1:
-            print(f"axiom (i) violated at t={v.t}: A_t={a.value(v.t)}")
-        else:
-            print(
-                f"axiom (ii) violated at (t={v.t}, u={v.u}): "
-                f"A_{v.t + v.u}={a.value(v.t + v.u)} vs "
-                f"A_{v.t}+A_{v.u}={a.value(v.t) + a.value(v.u)}"
-            )
-    return 1
+    print("\n".join(map(str, bad)) or "ok")
+    return 1 if bad else 0
 
 
 _HANDLERS = {
@@ -219,8 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.n < 3:
-            raise BoundOutOfRange(f"--n must be at least 3, got {args.n}")
+        check_rank(args.n)
         if (args.command == "graph") == (args.format == "text"):
             needs = "dot or --format json" if args.command == "graph" else "text"
             raise UnknownChoice(f"{args.command} output needs --format {needs}")

@@ -4,7 +4,8 @@ Everything derives from :class:`CrystalError` so callers can catch the whole
 family at once; the kinds subclass ``ValueError`` because they signal bad
 arguments rather than internal failures, except :class:`HorizonExceedsTable`,
 a ``LookupError``.  The command line prints ``error: <message>`` and exits 2
-for every one of them.
+for every one of them.  A kind whose constructor takes fields rebuilds
+itself from them when unpickled.
 """
 
 
@@ -39,6 +40,7 @@ class ArmAxiomViolation(CrystalError, ValueError):
     at ``(t, u)``."""
 
     def __init__(self, a, t: int, u: int | None = None):
+        self.a = a
         self.t = t
         self.u = u
         if u is None:
@@ -49,6 +51,9 @@ class ArmAxiomViolation(CrystalError, ValueError):
                     f"{{A_{t}+A_{u}, A_{t}+A_{u}+1}}")
         super().__init__(text)
 
+    def __reduce__(self):
+        return type(self), (self.a, self.t, self.u)
+
 
 class HorizonExceedsTable(CrystalError, LookupError):
     """A_t was requested past the end of a table-backed arm sequence."""
@@ -57,6 +62,9 @@ class HorizonExceedsTable(CrystalError, LookupError):
         self.t = t
         self.horizon = horizon
         super().__init__(f"A_{t} requested but table only covers t <= {horizon}")
+
+    def __reduce__(self):
+        return type(self), (self.t, self.horizon)
 
 
 class NotRegular(CrystalError, ValueError):

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .brackets import CLOSE, OPEN, BracketString
 from .errors import BoundOutOfRange, ParseError, RankMismatch, UnknownChoice
-from .partitions import _color, check_rank
+from .partitions import MAX_PARTITION_SIZE, _color, check_rank
 
 
 class Monomial:
@@ -193,9 +193,10 @@ def one(n: int) -> Monomial:
 
 _TERM_RE = re.compile(r"Y\((\d+),(-?\d+)\)(?:\^(-?\d+))?\Z")
 
-# largest |k| and |exponent| parse_monomial accepts.  Bracket mode spends
-# one token per exponent unit, so this matches the partition size ceiling
-MAX_MONOMIAL_NUMBER = 1_000_000
+# largest |k| and |exponent| parse_monomial accepts: one above the partition
+# size ceiling, so the corner image of a row of MAX_PARTITION_SIZE boxes,
+# holding Y(0,MAX_PARTITION_SIZE+1)^-1 at n = 3, reads back
+MAX_MONOMIAL_NUMBER = MAX_PARTITION_SIZE + 1
 
 
 def _number(text: str, what: str) -> int:

@@ -5,7 +5,6 @@ import pytest
 
 from affinecrystal import (
     ArmSequence,
-    ArmViolation,
     Box,
     Partition,
     arm_from_descriptor,
@@ -21,7 +20,6 @@ from affinecrystal import (
     parse_partition,
     partitions_of_size,
     random_arm,
-    unchecked_arm,
     validate_arm,
 )
 from affinecrystal import _kernel_py
@@ -54,7 +52,7 @@ class TestHorizontal:
         assert horizontal_arm(3).value(1) == 1
 
     def test_index_starts_at_one(self):
-        for a in (horizontal_arm(3), unchecked_arm(3, [1, 3])):
+        for a in (horizontal_arm(3), ArmSequence(3, [1, 3])):
             with pytest.raises(BoundOutOfRange):
                 a.value(0)
             for t in (1.5, True, 1.0, "1", None):
@@ -106,31 +104,39 @@ class TestTables:
         with pytest.raises(BoundOutOfRange, match=r"^arm table must be nonempty$"):
             arm_from_values(3, ())
 
+    @pytest.mark.parametrize("make", [arm_from_values, ArmSequence])
+    def test_table_shape(self, make):
+        # every table-backed sequence holds 1..MAX_ARM_HORIZON values
+        with pytest.raises(BoundOutOfRange, match=r"^arm table must be nonempty$"):
+            make(3, iter(()))
+        with pytest.raises(BoundOutOfRange, match=r"^horizon must be an int in 1\.\.1000, got 1001$"):
+            make(3, [horizontal_value(3, t) for t in range(1, 1002)])
+
     def test_beyond_horizon(self):
         a = arm_from_values(4, (1, 3, 5, 7))
         with pytest.raises(HorizonExceedsTable):
             a.value(5)
 
     def test_validate_lists_violations(self):
-        raw = unchecked_arm(3, (1, 2, 5))
-        assert validate_arm(raw, 3) == [ArmViolation(2, 1, 2)]
+        raw = ArmSequence(3, (1, 2, 5))
+        bad = validate_arm(raw, 3)
+        assert [(v.a, v.t, v.u) for v in bad] == [(raw, 1, 2)]
+        assert str(bad[0]) == "A_3 = 5 outside {3, 4} = {A_1+A_2, A_1+A_2+1}"
 
     def test_validate_lists_mixed_violations_in_order(self):
         # axiom (i) fails at t = 1 and 4, axiom (ii) at four pairs; every
         # axiom (i) violation comes first, each axiom by t, then u
-        raw = unchecked_arm(3, (3, 2, 5, 9, 6))
-        assert validate_arm(raw, 5) == [
-            ArmViolation(1, 1), ArmViolation(1, 4),
-            ArmViolation(2, 1, 1), ArmViolation(2, 1, 4),
-            ArmViolation(2, 2, 2), ArmViolation(2, 2, 3),
+        raw = ArmSequence(3, (3, 2, 5, 9, 6))
+        assert [(v.t, v.u) for v in validate_arm(raw, 5)] == [
+            (1, None), (4, None), (1, 1), (1, 4), (2, 2), (2, 3),
         ]
 
     def test_validate_horizon_one_only_checks_condition_one(self):
         # no decompositions exist at horizon 1
-        raw = unchecked_arm(3, (2,))
+        raw = ArmSequence(3, (2,))
         assert validate_arm(raw, 1) == []
-        raw = unchecked_arm(3, (3,))
-        assert validate_arm(raw, 1) == [ArmViolation(1, 1)]
+        raw = ArmSequence(3, (3,))
+        assert [(v.t, v.u) for v in validate_arm(raw, 1)] == [(1, None)]
 
     @pytest.mark.parametrize("horizon", [0, 2.5, 3.0, "3", None])
     def test_validate_horizon_out_of_range(self, horizon):
@@ -138,11 +144,11 @@ class TestTables:
             validate_arm(horizontal_arm(3), horizon)
 
     def test_validate_beyond_table(self):
-        raw = unchecked_arm(3, (1, 2))
+        raw = ArmSequence(3, (1, 2))
         with pytest.raises(HorizonExceedsTable):
             validate_arm(raw, 3)
 
-    @pytest.mark.parametrize("make", [unchecked_arm, arm_from_values, ArmSequence])
+    @pytest.mark.parametrize("make", [arm_from_values, ArmSequence])
     @pytest.mark.parametrize("bad", ["1", None, 1.0, 1.5, True])
     def test_values_must_be_ints(self, make, bad):
         # the bad value sits at t = 2, after a valid A_1
@@ -166,7 +172,7 @@ class TestEveryValidTable:
         if n == 3:
             assert len(box) == 360
         accepted = [table for table in box
-                    if validate_arm(unchecked_arm(n, table), horizon) == []]
+                    if validate_arm(ArmSequence(n, table), horizon) == []]
         assert accepted == oracle_valid_tables(n, horizon)
         for seed in range(5):
             assert random_arm(n, horizon, seed).values in accepted
@@ -180,7 +186,7 @@ class TestEveryValidTable:
                 top = n * (horizon + 1) - 1  # the largest hook the table covers
                 depth, size = min(top, 12), min(top, 24)
                 for table in oracle_valid_tables(n, horizon):
-                    a = unchecked_arm(n, table)
+                    a = ArmSequence(n, table)
                     vertices, mismatch = compare_models(
                         n, depth, "partition", "partition", a, horizontal_arm(n))
                     assert mismatch is None, (table, str(mismatch))
@@ -194,7 +200,7 @@ class TestEveryValidTable:
             for horizon in range(1, 5):
                 depth = min(n * horizon - 2, 8)
                 for table in oracle_valid_tables(n, horizon):
-                    a = unchecked_arm(n, table)
+                    a = ArmSequence(n, table)
                     for text in generate_graph("partition", n, depth, a).vertices:
                         lam = parse_partition(text)
                         for i in range(n):
@@ -288,7 +294,7 @@ class TestIllegalBoxes:
                 return (exc.t, exc.horizon)
 
         arms_ = [horizontal_arm(n), random_arm(n, 12, n),
-                 unchecked_arm(n, [0, -1, 3 * n + 1, 2]), random_arm(n, 1, n)]
+                 ArmSequence(n, [0, -1, 3 * n + 1, 2]), random_arm(n, 1, n)]
         seen = set()
         for m in range(11):
             for parts in oracle_partitions(m):
@@ -367,7 +373,7 @@ class TestRegular:
                 return ("raises", exc.t)
 
         arms = [horizontal_arm(n), random_arm(n, 2, seed=n),
-                unchecked_arm(n, [(3 * t) % (2 * n) for t in range(1, 9)])]
+                ArmSequence(n, [(3 * t) % (2 * n) for t in range(1, 9)])]
         seen = []
         for a in arms:
             outcomes = set()

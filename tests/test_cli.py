@@ -14,7 +14,7 @@ import affinecrystal.cli as cli
 import affinecrystal.graphs as graphs
 import affinecrystal.isomorphism as isomorphism
 from affinecrystal import Partition, format_partition, graph_from_json
-from affinecrystal.arms import MAX_ARM_HORIZON, horizontal_value
+from affinecrystal.arms import _ARM_FILE_BYTES, MAX_ARM_HORIZON, horizontal_value
 from affinecrystal.cli import main
 from affinecrystal.monomial_crystal import MAX_MONOMIAL_NUMBER, one
 from affinecrystal.partitions import MAX_PARTITION_SIZE
@@ -333,8 +333,7 @@ class TestValidateArm:
             capsys, "--n", "3", "--arm", f"file:{path}",
             "validate-arm", "--horizon", "3",
         )
-        assert code == 1
-        assert "axiom (ii) violated at (t=1, u=2)" in out
+        assert (code, out) == (1, "A_3 = 5 outside {3, 4} = {A_1+A_2, A_1+A_2+1}\n")
 
     def test_mixed_violations_in_order(self, capsys, tmp_path):
         path = tmp_path / "arm.txt"
@@ -345,13 +344,16 @@ class TestValidateArm:
         )
         assert code == 1
         assert out.splitlines() == [
-            "axiom (i) violated at t=1: A_t=3",
-            "axiom (i) violated at t=4: A_t=9",
-            "axiom (ii) violated at (t=1, u=1): A_2=2 vs A_1+A_1=6",
-            "axiom (ii) violated at (t=1, u=4): A_5=6 vs A_1+A_4=12",
-            "axiom (ii) violated at (t=2, u=2): A_4=9 vs A_2+A_2=4",
-            "axiom (ii) violated at (t=2, u=3): A_5=6 vs A_2+A_3=7",
+            "A_1 = 3 outside [0, 2] for n = 3",
+            "A_4 = 9 outside [3, 8] for n = 3",
+            "A_2 = 2 outside {6, 7} = {A_1+A_1, A_1+A_1+1}",
+            "A_5 = 6 outside {12, 13} = {A_1+A_4, A_1+A_4+1}",
+            "A_4 = 9 outside {4, 5} = {A_2+A_2, A_2+A_2+1}",
+            "A_5 = 6 outside {7, 8} = {A_2+A_3, A_2+A_3+1}",
         ]
+        # check refuses the same table with the first of those lines
+        assert run(capsys, "--n", "3", "--arm", f"file:{path}", "check", "[1]") == (
+            2, "", f"error: {out.splitlines()[0]}\n")
 
     def test_missing_file(self, capsys):
         code, _, err = run(
@@ -364,9 +366,8 @@ class TestValidateArm:
 
 class TestUsage:
     def test_rank_too_small(self, capsys):
-        code, _, err = run(capsys, "--n", "2", "count", "--max", "1")
-        assert code == 2
-        assert "at least 3" in err
+        assert run(capsys, "--n", "2", "count", "--max", "1") == (
+            2, "", "error: rank must be an int >= 3, got 2\n")
 
     @pytest.mark.parametrize(
         "command",
@@ -458,9 +459,9 @@ class TestUsage:
             assert (code, out) == (2, "")
             assert err.startswith("error: color ") and err.count("\n") == 1
             assert "ceiling" in err
-        # the ceiling itself is reduced mod n like any color: 10^6 = 1 mod 3
+        # the ceiling itself is reduced mod n like any color: 10^6 + 1 = 2 mod 3
         code, out, _ = run(capsys, "--n", "3", "apply", "[]", f"f0,f{MAX_MONOMIAL_NUMBER}")
-        assert (code, out) == (0, "[2]\n")
+        assert (code, out) == (0, "[1,1]\n")
 
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -656,15 +657,60 @@ def test_fuzz_exit_codes(arm_path, n, command, obj, word, arm, arm2, arm_tokens,
             argv.append("--use-psi")
     else:
         argv = ["--format", fmt, *argv, "--max", str(size)]
+    try:
+        run_main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+
+
+def run_main(argv):
+    """(code, stdout, stderr) of ``main``, checked as every run must be: exit
+    0, 1 or 2, and an exit 2 prints nothing on stdout and one ``error: ``
+    line on stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            assert exc.code == 2
-            return
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2)
     if code == 2:
-        assert out.getvalue() == ""
-        lines = err.getvalue().split("\n")
+        lines = err.split("\n")
+        assert out == "", out
         assert len(lines) == 2 and lines[0].startswith("error: ") and lines[1] == "", lines
+    return code, out, err
+
+
+def _padded(tokens, size, pad):
+    """The tokens, joined by spaces, grown to ``size`` bytes with whitespace
+    after them or with zeros before the first value."""
+    text = " ".join(tokens).encode()
+    fill = size - len(text)
+    return b"0" * fill + text if pad == "zeros" else text + pad.encode() * fill
+
+
+ARM_BYTES = st.one_of(
+    st.binary(max_size=40),
+    st.builds(_padded, st.lists(st.sampled_from(["0", "1", "2", "3", "5", "-1"]),
+                                min_size=1, max_size=6),
+              st.sampled_from([_ARM_FILE_BYTES - 1, _ARM_FILE_BYTES, _ARM_FILE_BYTES + 1]),
+              st.sampled_from([" ", "\n", "zeros"])),
+)
+
+
+@given(n=st.integers(3, 5), data=ARM_BYTES)
+@settings(max_examples=150, deadline=None)
+def test_fuzz_arm_file(arm_path, n, data):
+    """An arm file of any bytes, or of a few values padded to around the
+    byte ceiling, is read or refused by check, count and validate-arm.  A
+    validate-arm failure over the whole table opens with the refusal that
+    check prints for the same file."""
+    arm_path.write_bytes(data)
+    head = ["--n", str(n), "--arm", f"file:{arm_path}"]
+    check = run_main([*head, "check", "[6,5,4,3,2,1]"])
+    run_main([*head, "count", "--max", "8"])
+    try:
+        horizon = len(data.decode().split())
+    except UnicodeDecodeError:
+        horizon = 1
+    code, out, _ = run_main([*head, "validate-arm", "--horizon", str(horizon)])
+    if code == 1:
+        assert check[0] == 2 and check[2] == f"error: {out.splitlines()[0]}\n"

@@ -10,6 +10,7 @@ import affinecrystal.graphs as graphs
 import affinecrystal.isomorphism as isomorphism
 import affinecrystal.monomial_crystal as monomial_crystal
 from affinecrystal import (
+    ArmSequence,
     CrystalGraph,
     Partition,
     compare_graphs,
@@ -31,7 +32,6 @@ from affinecrystal import (
     partition_to_monomial,
     partitions_of_size,
     random_arm,
-    unchecked_arm,
     validate_arm,
     weight,
     y,
@@ -193,7 +193,7 @@ class TestGeneration:
 def axiom_breaking_arm(n, horizon, seed):
     """A table of arbitrary values in 0..n t; fails condition (i) or (ii)."""
     rng = random.Random(seed)
-    a = unchecked_arm(n, [rng.randint(0, n * t) for t in range(1, horizon + 1)])
+    a = ArmSequence(n, [rng.randint(0, n * t) for t in range(1, horizon + 1)])
     assert validate_arm(a, horizon) != []
     return a
 
@@ -529,7 +529,7 @@ class TestWalk:
         assert failures > 0
 
     def test_documented_pairing_conflict(self):
-        a = unchecked_arm(3, [0, 5, 1, 9, 2, 7])
+        a = ArmSequence(3, [0, 5, 1, 9, 2, 7])
         want = ("inconsistent-pairing at v17/v18 color 0: "
                 "conflicts with an earlier pairing")
         _, mismatch = compare_models(3, 12, "partition", "partition", a)
@@ -674,7 +674,7 @@ class TestCounting:
         expected = oracle_regular_counts(n, 40)
         for values in ([t - 1 for t in range(1, 61)],
                        [(n - 1) * t for t in range(1, 61)]):
-            a = unchecked_arm(n, values)
+            a = ArmSequence(n, values)
             assert validate_arm(a, 60) == []
             assert count_regular(n, a, 40) == expected, values[:2]
 
@@ -685,13 +685,13 @@ class TestCounting:
         arms = [
             horizontal_arm(n),
             random_arm(n, 8, seed=n),
-            unchecked_arm(n, [(3 * t) % (2 * n) for t in range(1, 9)]),
+            ArmSequence(n, [(3 * t) % (2 * n) for t in range(1, 9)]),
             # the two extremes of axiom (i); (n - 1) t gives a leg-0 rule
-            unchecked_arm(n, [t - 1 for t in range(1, 61)]),
-            unchecked_arm(n, [(n - 1) * t for t in range(1, 61)]),
+            ArmSequence(n, [t - 1 for t in range(1, 61)]),
+            ArmSequence(n, [(n - 1) * t for t in range(1, 61)]),
             # no box has a negative arm, nor a hook n t with arm >= n t
-            unchecked_arm(n, [-1, 2, -3, 5, -2, 7, -1, 9]),
-            unchecked_arm(n, [n * t + t % 2 for t in range(1, 9)]),
+            ArmSequence(n, [-1, 2, -3, 5, -2, 7, -1, 9]),
+            ArmSequence(n, [n * t + t % 2 for t in range(1, 9)]),
         ]
         levels = [[lam.parts for lam in partitions_of_size(m)] for m in range(19)]
         for a in arms:

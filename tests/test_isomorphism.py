@@ -25,6 +25,7 @@ from affinecrystal import (
     y,
 )
 from affinecrystal.errors import BoundOutOfRange, NotRegular
+from affinecrystal.partitions import MAX_PARTITION_SIZE
 from helpers import (
     box_tokens_as_slots,
     cancel_matching_slot_pairs,
@@ -82,6 +83,15 @@ class TestCornerMap:
                 corners = len(lam.addable_boxes()) + len(lam.removable_boxes())
                 merged += len(got.factors()) < corners
         assert merged > 0
+
+    def test_images_at_the_size_ceiling_read_back(self):
+        # a row or column of MAX_PARTITION_SIZE boxes has a corner factor
+        # with k one above the ceiling, which parse_monomial must accept
+        cases = [(n, [MAX_PARTITION_SIZE]) for n in (3, 4, 7)]
+        for n, parts in cases + [(3, [1] * MAX_PARTITION_SIZE)]:
+            image = partition_to_monomial(Partition(parts), n)
+            assert parse_monomial(format_monomial(image), n) == image, (n, len(parts))
+        assert format_monomial(image) == "Y(0,1000001)^-1*Y(2,1000000)*Y(1,1)"
 
     def test_exponent_sum_is_one(self):
         rng = random.Random(17)

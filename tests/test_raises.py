@@ -4,11 +4,15 @@ Each ``raise`` in ``src/affinecrystal`` names a subclass of
 ``CrystalError`` from ``errors.py`` (not the base itself), or one of two
 built-ins: ``AttributeError`` for assignment to an immutable value and
 ``RuntimeError`` for a state only a bug can reach.  Every kind in
-``errors.py`` is raised somewhere, so none is dead.
+``errors.py`` is raised somewhere, so none is dead, and every kind
+survives a pickle round trip.
 """
 
 import ast
+import pickle
 from pathlib import Path
+
+from affinecrystal import ArmSequence, errors
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "affinecrystal"
 BUILTINS = {"AttributeError", "RuntimeError"}
@@ -62,3 +66,31 @@ def test_scan_sees_a_stray_raise():
         ("ValueError", 3), ("CrystalError", 4), (None, 8)]
     assert "CrystalError" not in error_kinds()
     assert {"ParseError", "ArmAxiomViolation"} <= error_kinds()
+
+
+# a table that breaks condition (i) at t = 1 and condition (ii) at (1, 1)
+TABLE = ArmSequence(3, (3, 2), "file:arm.txt")
+# constructor arguments of the kinds whose __init__ takes fields; every
+# other kind takes its message alone
+FIELDS = {
+    "ArmAxiomViolation": [(TABLE, 1), (TABLE, 1, 1)],
+    "HorizonExceedsTable": [(3, 2)],
+}
+
+
+def fields(exc):
+    """The instance's fields, an arm table by its slots."""
+    return {key: (value.n, value.values, value.descriptor)
+            if isinstance(value, ArmSequence) else value
+            for key, value in vars(exc).items()}
+
+
+def test_every_kind_pickles():
+    for name in sorted(error_kinds()):
+        kind = getattr(errors, name)
+        for args in FIELDS.get(name, [("a refusal",)]):
+            exc = kind(*args)
+            copy = pickle.loads(pickle.dumps(exc))
+            assert type(copy) is kind, name
+            assert (str(copy), copy.args) == (str(exc), exc.args), name
+            assert fields(copy) == fields(exc), name
