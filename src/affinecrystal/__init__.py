@@ -43,15 +43,11 @@ from .monomial_crystal import (
     e_m,
     f_m,
     format_monomial,
-    is_compatible,
-    is_dominant,
     monomial_bracket_string,
     mult_a,
-    one,
     parse_monomial,
     stats,
     weight,
-    y,
 )
 from .partition_crystal import (
     bracket_string,

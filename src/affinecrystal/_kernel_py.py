@@ -173,7 +173,7 @@ def f_children(parts, n, table):
 
 
 def columns(parts):
-    """Column lengths of ``parts``, a list: the conjugate partition."""
+    """Column lengths of ``parts``, a list: the transposed diagram."""
     conj = []
     for r in range(len(parts), 0, -1):
         conj.extend([r] * (parts[r - 1] - len(conj)))

@@ -95,21 +95,22 @@ def horizontal_arm(n: int) -> ArmSequence:
     return ArmSequence(n, None, "horizontal")
 
 
-def validate_arm(a: ArmSequence, horizon: int) -> list[ArmAxiomViolation]:
-    """One ArmAxiomViolation per failed condition with t (and t + u) up to
-    ``horizon``: axiom (i) for all t, then axiom (ii) for all pairs t <= u
-    with t + u <= horizon.  The pairwise sweep is quadratic, which is fine
-    at the scales these tables see; ``horizon`` must be at most
-    MAX_ARM_HORIZON.
+def validate_arm(a: ArmSequence, horizon: int) -> Iterator[ArmAxiomViolation]:
+    """Yields one ArmAxiomViolation per failed condition with t (and t + u)
+    up to ``horizon``: axiom (i) for all t, then axiom (ii) for all pairs
+    t <= u with t + u <= horizon.  The pairwise sweep is quadratic, which
+    is fine at the scales these tables see.  A ``horizon`` above
+    MAX_ARM_HORIZON or past the table's end raises here, before any
+    record is made; the records are made one at a time, as they are read.
     """
     _check_horizon(horizon)
     if a.horizon is not None and horizon > a.horizon:
         raise HorizonExceedsTable(horizon, a.horizon)
-    return list(_violations(a, horizon))
+    return _violations(a, horizon)
 
 
 def _violations(a: ArmSequence, horizon: int) -> Iterator[ArmAxiomViolation]:
-    """validate_arm's records one at a time, for a caller that needs the first."""
+    """validate_arm's records, unchecked, for a caller that needs the first."""
     for t in range(1, horizon + 1):
         if not (t - 1 <= a.value(t) <= (a.n - 1) * t):
             yield ArmAxiomViolation(a, t)
@@ -204,9 +205,9 @@ def illegal_boxes(lam: Partition, a: ArmSequence) -> list[tuple[Box, int, int]]:
     """(box, hook, arm) for every illegal box of ``lam``, in reading order.
 
     The kernel's one box scan reads the column lengths once, so the work
-    is linear in the size of ``lam``.  The boxes are tested in the order
-    of ``lam.boxes()``, so a table too short for several boxes raises at
-    the first of them.
+    is linear in the size of ``lam``.  The boxes are tested in reading
+    order, so a table too short for several boxes raises at the first of
+    them.
     """
     found = _backend.kernel.illegal_boxes(lam.parts, a.n, a.values)
     return [(Box(r, c), h, arm_len) for r, c, h, arm_len in found]

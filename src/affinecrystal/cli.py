@@ -190,9 +190,13 @@ def _cmd_validate_arm(args) -> int:
         a = arm_from_descriptor(args.n, args.arm)
     except ArmAxiomViolation as exc:  # list every violation, not the first
         a = exc.a
-    bad = validate_arm(a, args.horizon)
-    print("\n".join(map(str, bad)) or "ok")
-    return 1 if bad else 0
+    ok = True
+    for v in validate_arm(a, args.horizon):
+        print(v)
+        ok = False
+    if ok:
+        print("ok")
+    return 0 if ok else 1
 
 
 _HANDLERS = {

@@ -21,7 +21,7 @@ class ParseError(CrystalError, ValueError):
 
 class BoundOutOfRange(CrystalError, ValueError):
     """A rank, depth, size, horizon, residue, index or number is outside its
-    allowed range, or a rank is odd where only even ranks are defined."""
+    allowed range."""
 
 
 class UnknownChoice(CrystalError, ValueError):
@@ -31,7 +31,7 @@ class UnknownChoice(CrystalError, ValueError):
 
 class BoxOutside(CrystalError, ValueError):
     """Box coordinates fall outside the diagram of the partition, or the box
-    is not an addable (removable) corner of it."""
+    is not an addable corner of it."""
 
 
 class ArmAxiomViolation(CrystalError, ValueError):

@@ -64,17 +64,10 @@ class Monomial:
         """The rank: one stored tuple per residue."""
         return len(self._res)
 
-    def exponent(self, i: int, k: int) -> int:
-        return dict(self._res[_color(self, i)]).get(_int_k(k), 0)
-
     def factors(self) -> tuple[tuple[tuple[int, int], int], ...]:
         """((i, k), u) pairs sorted by decreasing k, then increasing i."""
         return tuple(((i, -nk), u) for nk, i, u in sorted(
             [(-k, i, u) for i, terms in enumerate(self._res) for k, u in terms]))
-
-    def support(self, i: int) -> list[int]:
-        """The k with nonzero exponent at residue i, increasing."""
-        return [k for k, _ in self._res[_color(self, i)]]
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
@@ -82,12 +75,6 @@ class Monomial:
         if self.n != other.n:
             raise RankMismatch("cannot multiply monomials over different ranks")
         return _canonical(_built([[*a, *b] for a, b in zip(self._res, other._res)]))
-
-    def __pow__(self, e: int) -> "Monomial":
-        if type(e) is not int:  # bools included
-            raise ParseError(f"power {e!r} is not an int")
-        return Monomial(self.n, {(i, k): u * e for i, terms in enumerate(self._res)
-                                 for k, u in terms})
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self._res == other._res
@@ -180,15 +167,6 @@ def _format(res, texts: list[_ResidueTexts]) -> str:
         fragments += residue_texts[terms]
     fragments.sort()
     return "*".join([text for _, _, text in fragments]) or "1"
-
-
-def y(n: int, i: int, k: int, power: int = 1) -> Monomial:
-    """The single-variable monomial Y(i,k)^power."""
-    return Monomial(n, {(i, k): power})
-
-
-def one(n: int) -> Monomial:
-    return Monomial(n)
 
 
 _TERM_RE = re.compile(r"Y\((\d+),(-?\d+)\)(?:\^(-?\d+))?\Z")
@@ -377,18 +355,6 @@ def f_m(m: Monomial, i: int, mode: str = "analytic") -> Monomial | None:
     if k is None:
         return None
     return _canonical(_times_a(m._res, i, k + 1, -1))
-
-
-def is_dominant(m: Monomial) -> bool:
-    """All exponents nonnegative."""
-    return all(u >= 0 for terms in m._res for _, u in terms)
-
-
-def is_compatible(m: Monomial) -> bool:
-    """Support obeys k = i mod 2; only defined for even rank."""
-    if m.n % 2 != 0:
-        raise BoundOutOfRange(f"compatibility needs even rank, got n = {m.n}")
-    return all(k % 2 == i % 2 for i, terms in enumerate(m._res) for k, _ in terms)
 
 
 def _monomial_side(n: int):

@@ -55,13 +55,3 @@ def e_box(lam: Partition, i: int, a: ArmSequence) -> Box | None:
     """The box :func:`e_up` would remove (for reporting), or None."""
     s = bracket_string(lam, i, a)
     return None if s.last_close is None else s.payloads[s.last_close]
-
-
-__all__ = [
-    "bracket_string",
-    "f_down",
-    "e_up",
-    "eps_phi",
-    "f_box",
-    "e_box",
-]

@@ -8,7 +8,7 @@ arithmetic:
 * content  ``c(b) = y - x = col - row``
 * height   ``h(b) = x + y = row + col - 1``
 
-Partitions are immutable; adding or removing a box returns a fresh value.
+Partitions are immutable; adding a box returns a fresh value.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from typing import Iterator, NamedTuple
 
-from ._kernel_py import _add, _remove, columns, corners
+from ._kernel_py import _add, columns, corners
 from .brackets import CLOSE, OPEN
 from .errors import BoundOutOfRange, BoxOutside, ParseError
 
@@ -114,16 +114,8 @@ class Partition:
     def size(self) -> int:
         return sum(self.parts)
 
-    def conjugate(self) -> "Partition":
-        return _trusted(tuple(columns(self.parts)))
-
     def contains(self, b: Box) -> bool:
         return 1 <= b.row <= len(self.parts) and 1 <= b.col <= self.parts[b.row - 1]
-
-    def boxes(self) -> Iterator[Box]:
-        for r, p in enumerate(self.parts, 1):
-            for c in range(1, p + 1):
-                yield Box(r, c)
 
     def addable_boxes(self) -> list[Box]:
         """Corners where a box may be adjoined, sorted by row.
@@ -143,12 +135,6 @@ class Partition:
         if b not in self.addable_boxes():
             raise BoxOutside(f"{b} is not addable to {self}")
         return _trusted(_add(self.parts, b.row))
-
-    def remove_box(self, b: Box) -> "Partition":
-        if b not in self.removable_boxes():
-            raise BoxOutside(f"{b} is not removable from {self}")
-        return _trusted(_remove(self.parts, b.row))
-
 
 _set_parts = Partition.parts.__set__
 

@@ -23,11 +23,15 @@ from affinecrystal import (
     is_regular,
     partitions_of_size,
     residue,
-    y,
 )
 from affinecrystal.errors import NotRegular
 from affinecrystal.monomial_crystal import Monomial
 from affinecrystal.partitions import MAX_RANK
+
+
+def y(n: int, i: int, k: int, power: int = 1) -> Monomial:
+    """The single-variable monomial Y(i,k)^power."""
+    return Monomial(n, {(i, k): power})
 
 
 def oracle_partitions(m, max_part=None):
@@ -91,14 +95,14 @@ def oracle_regular_counts(n, max_size):
 
 def oracle_monomial_stats(m: Monomial, i: int):
     """(eps, phi, p, q) by literally scanning L over a wide window."""
-    ks = m.support(i)
-    lo = (min(ks) if ks else 0) - 2
-    hi = (max(ks) if ks else 0) + 2
+    exps = {k: u for (j, k), u in m.factors() if j == i}
+    lo = min(exps, default=0) - 2
+    hi = max(exps, default=0) + 2
     eps_at = {
-        L: -sum(m.exponent(i, l) for l in range(L, hi + 1)) for L in range(lo, hi + 1)
+        L: -sum(exps.get(l, 0) for l in range(L, hi + 1)) for L in range(lo, hi + 1)
     }
     phi_at = {
-        L: sum(m.exponent(i, l) for l in range(lo, L + 1)) for L in range(lo, hi + 1)
+        L: sum(exps.get(l, 0) for l in range(lo, L + 1)) for L in range(lo, hi + 1)
     }
     eps = max(0, max(eps_at.values()))
     phi = max(0, max(phi_at.values()))

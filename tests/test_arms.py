@@ -71,7 +71,7 @@ class TestHorizontal:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_satisfies_both_conditions(self, n):
         # exhaustive check is the oracle
-        assert validate_arm(horizontal_arm(n), 200) == []
+        assert list(validate_arm(horizontal_arm(n), 200)) == []
 
     def test_neighbor_window(self):
         for n in range(3, 9):
@@ -119,7 +119,7 @@ class TestTables:
 
     def test_validate_lists_violations(self):
         raw = ArmSequence(3, (1, 2, 5))
-        bad = validate_arm(raw, 3)
+        bad = list(validate_arm(raw, 3))
         assert [(v.a, v.t, v.u) for v in bad] == [(raw, 1, 2)]
         assert str(bad[0]) == "A_3 = 5 outside {3, 4} = {A_1+A_2, A_1+A_2+1}"
 
@@ -134,7 +134,7 @@ class TestTables:
     def test_validate_horizon_one_only_checks_condition_one(self):
         # no decompositions exist at horizon 1
         raw = ArmSequence(3, (2,))
-        assert validate_arm(raw, 1) == []
+        assert list(validate_arm(raw, 1)) == []
         raw = ArmSequence(3, (3,))
         assert [(v.t, v.u) for v in validate_arm(raw, 1)] == [(1, None)]
 
@@ -172,7 +172,7 @@ class TestEveryValidTable:
         if n == 3:
             assert len(box) == 360
         accepted = [table for table in box
-                    if validate_arm(ArmSequence(n, table), horizon) == []]
+                    if list(validate_arm(ArmSequence(n, table), horizon)) == []]
         assert accepted == oracle_valid_tables(n, horizon)
         for seed in range(5):
             assert random_arm(n, horizon, seed).values in accepted
@@ -247,10 +247,10 @@ class TestRandomArm:
 
     def test_validates(self):
         # the validator is the oracle
-        assert validate_arm(random_arm(3, 50, 7), 50) == []
+        assert list(validate_arm(random_arm(3, 50, 7), 50)) == []
         for n in (3, 4, 5):
             for seed in range(10):
-                assert validate_arm(random_arm(n, 40, seed), 40) == []
+                assert list(validate_arm(random_arm(n, 40, seed), 40)) == []
 
 
 class TestIllegal:

@@ -13,10 +13,10 @@ import affinecrystal._kernel_py as _kernel_py
 import affinecrystal.cli as cli
 import affinecrystal.graphs as graphs
 import affinecrystal.isomorphism as isomorphism
-from affinecrystal import Partition, format_partition, graph_from_json
+from affinecrystal import Monomial, Partition, format_partition, graph_from_json
 from affinecrystal.arms import _ARM_FILE_BYTES, MAX_ARM_HORIZON, horizontal_value
 from affinecrystal.cli import main
-from affinecrystal.monomial_crystal import MAX_MONOMIAL_NUMBER, one
+from affinecrystal.monomial_crystal import MAX_MONOMIAL_NUMBER
 from affinecrystal.partitions import MAX_PARTITION_SIZE
 from helpers import oracle_arm, oracle_cells, oracle_hook, oracle_regular_counts
 
@@ -222,12 +222,12 @@ class TestCompare:
         real = isomorphism.partition_to_monomial
         argv = ("--n", "3", "compare", "--model", "partition", "--model2", "monomial",
                 "--depth", "2", "--use-psi")
-        monkeypatch.setattr(isomorphism, "partition_to_monomial", lambda lam, n: one(n))
+        monkeypatch.setattr(isomorphism, "partition_to_monomial", lambda lam, n: Monomial(n))
         assert run(capsys, *argv) == (
             1, "mismatch: label-mismatch at v0/v0: '[]' does not correspond to "
                "'Y(0,0)'\n", "")
         monkeypatch.setattr(isomorphism, "partition_to_monomial",
-                            lambda lam, n: one(n) if lam.parts == (1,) else real(lam, n))
+                            lambda lam, n: Monomial(n) if lam.parts == (1,) else real(lam, n))
         assert run(capsys, *argv) == (
             1, "mismatch: label-mismatch at v1/v1 color 0: '[1]' does not correspond "
                "to 'Y(0,2)^-1*Y(1,1)*Y(2,1)'\n", "")

@@ -1,3 +1,4 @@
+import copy
 import functools
 import json
 import random
@@ -11,7 +12,9 @@ import affinecrystal.isomorphism as isomorphism
 import affinecrystal.monomial_crystal as monomial_crystal
 from affinecrystal import (
     ArmSequence,
+    CrystalError,
     CrystalGraph,
+    GraphComparison,
     Partition,
     compare_graphs,
     compare_models,
@@ -34,7 +37,6 @@ from affinecrystal import (
     random_arm,
     validate_arm,
     weight,
-    y,
 )
 from affinecrystal._kernel_py import f_children, f_step
 from affinecrystal.errors import (
@@ -60,6 +62,7 @@ from helpers import (
     oracle_regular_counts,
     oracle_weight_multiplicities,
     random_partition,
+    y,
 )
 
 
@@ -194,7 +197,7 @@ def axiom_breaking_arm(n, horizon, seed):
     """A table of arbitrary values in 0..n t; fails condition (i) or (ii)."""
     rng = random.Random(seed)
     a = ArmSequence(n, [rng.randint(0, n * t) for t in range(1, horizon + 1)])
-    assert validate_arm(a, horizon) != []
+    assert list(validate_arm(a, horizon)) != []
     return a
 
 
@@ -461,6 +464,56 @@ class TestComparison:
         with pytest.raises(BoundOutOfRange, match="ceiling"):
             compare_graphs(g, g)
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_mutants_compared_or_refused(self, data):
+        # one edit of a real export that graph_from_json reads, compared
+        # with the original both ways: a CrystalError, a mismatch, or a
+        # bijection that an independent check confirms
+        model = data.draw(st.sampled_from(["partition", "monomial"]))
+        n, depth = data.draw(st.sampled_from([3, 4])), data.draw(st.integers(0, 6))
+        doc = copy.deepcopy(exported_doc(model, n, depth))
+        edges, count = doc["edges"], len(doc["vertices"])
+        kind = data.draw(st.sampled_from(
+            ["retarget", "drop", "add", "depth", "renumber"] if edges
+            else ["add", "depth", "renumber"]))
+        if kind == "retarget":  # an edge pointed at another vertex
+            e = data.draw(st.sampled_from(edges))
+            e["dst"] = data.draw(st.integers(0, count - 1).filter(lambda v: v != e["dst"]))
+        elif kind == "drop":
+            edges.remove(data.draw(st.sampled_from(edges)))
+        elif kind == "add":  # a color the source has no out-edge of
+            used = {(e["src"], e["color"]) for e in edges}
+            src, color = data.draw(st.sampled_from(
+                [(v, c) for v in range(count) for c in range(n) if (v, c) not in used]))
+            edges.append({"src": src, "dst": data.draw(st.integers(0, count - 1)),
+                          "color": color})
+        elif kind == "depth":
+            doc["depth"] += data.draw(st.sampled_from([1, -1] if depth else [1]))
+        else:  # the same graph under other vertex ids
+            perm = data.draw(st.permutations(range(count)))
+            for v in doc["vertices"]:
+                v["id"] = perm[v["id"]]
+            for e in edges:
+                e["src"], e["dst"] = perm[e["src"]], perm[e["dst"]]
+            doc["root"] = perm[doc["root"]]
+        original = graph_from_json(json.dumps(exported_doc(model, n, depth)))
+        mutant = graph_from_json(json.dumps(doc))
+        for g1, g2 in ((original, mutant), (mutant, original)):
+            try:
+                result = compare_graphs(g1, g2)
+            except CrystalError:
+                assert kind == "depth"
+                continue
+            assert type(result) is GraphComparison
+            if result.bijection is None:
+                assert result.mismatch is not None and kind != "renumber"
+            else:
+                assert result.mismatch is None
+                assert_colored_bijection(g1, g2, result.bijection)
+        if kind == "renumber":
+            assert compare_graphs(original, mutant).bijection == dict(enumerate(perm))
+
 
 class TestWalk:
     """The model walk against compare_graphs on the two generated graphs."""
@@ -675,7 +728,7 @@ class TestCounting:
         for values in ([t - 1 for t in range(1, 61)],
                        [(n - 1) * t for t in range(1, 61)]):
             a = ArmSequence(n, values)
-            assert validate_arm(a, 60) == []
+            assert list(validate_arm(a, 60)) == []
             assert count_regular(n, a, 40) == expected, values[:2]
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -909,6 +962,22 @@ class TestExport:
         for export in (export_json, export_dot):
             with pytest.raises(ParseError, match=r"^vertex 1 label is not a string: 5$"):
                 export(bad)
+
+
+@functools.cache
+def exported_doc(model, n, depth):
+    """The parsed JSON export of a generated graph; callers copy it."""
+    return json.loads(export_json(generate_graph(model, n, depth)))
+
+
+def assert_colored_bijection(g1, g2, bijection):
+    """``bijection`` maps the vertices of g1 one to one onto those of g2,
+    root to root, and the colored edges of g1 onto those of g2."""
+    assert sorted(bijection) == list(range(len(g1.vertices)))
+    assert sorted(bijection.values()) == list(range(len(g2.vertices)))
+    assert bijection[g1.root] == g2.root
+    assert len(g1.edges) == len(g2.edges)
+    assert {(bijection[s], bijection[d], c) for s, d, c in g1.edges} == set(g2.edges)
 
 
 @functools.cache

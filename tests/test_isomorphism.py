@@ -22,7 +22,6 @@ from affinecrystal import (
     partitions_of_size,
     residue,
     stats,
-    y,
 )
 from affinecrystal.errors import BoundOutOfRange, NotRegular
 from affinecrystal.partitions import MAX_PARTITION_SIZE
@@ -34,6 +33,7 @@ from helpers import (
     oracle_corner_monomial,
     random_partition,
     regular_partitions,
+    y,
 )
 
 BIG = parse_partition("[11,7,4,2,1,1,1,1,1,1]")

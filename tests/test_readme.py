@@ -7,15 +7,19 @@ when there is none.  A command piped through ``awk '{print $NF}'`` is
 compared on the last field of each line; any other shell syntax fails.
 The "Library surface" Python block runs a line at a time in one
 namespace, so each statement fits on one line; a line ending in
-``# -> VALUE`` is an expression whose ``repr`` must be VALUE.
+``# -> VALUE`` is an expression whose ``repr`` must be VALUE.  The
+README's ``text`` block lists the package's public names, and a name
+exported but not listed there, or listed but not exported, fails.
 """
 
 import re
 import shlex
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
+import affinecrystal
 from affinecrystal import cli
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -101,3 +105,11 @@ def test_library_surface_runs():
         else:
             exec(compile(line, where, "exec"), namespace)
     assert checked
+
+
+def test_public_names_are_listed():
+    listed = blocks("text")[0].split()
+    exported = {name for name, value in vars(affinecrystal).items()
+                if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert len(listed) == len(set(listed))
+    assert set(listed) == exported
