@@ -35,9 +35,10 @@ from .partitions import partitions_of_size  # noqa: F401 (patched by the tracer)
 PARTITION_MODEL = "partition"
 MONOMIAL_MODEL = "monomial"
 
-# largest size count_regular accepts.  The work grows about 3.3x per 10
-# sizes: on a 2-core x86 host size 50 takes 0.07 s at n = 3 and 0.14 s at
-# n = 6, and size 100 took 29 s at n = 3, while the lists stay small
+# largest size count_regular accepts.  The work grows 3-5x per 10 sizes and
+# faster at larger n, while the lists stay small.  On a 2-core x86 host,
+# sizes 70, 80, 90 and 100 took 1.1, 4.2, 13 and 37 s at n = 3, and 3.3,
+# 10, 57 and 132 s at n = 6
 MAX_COUNT_SIZE = 100
 
 # most vertices a graph or a walk may reach.  On a 2-core x86 host the

@@ -38,7 +38,10 @@ class Monomial:
     residue i holding its (k, u) terms by strictly increasing k, with no
     zero exponent; the rank n is read off as their count.  Equality and
     hashing use it, so monomials work as dictionary keys.  The ordered
-    factor tuple is built only on request, by :meth:`factors`.
+    factor tuple is built only on request, by :meth:`factors`.  The
+    constructor and ``*`` refuse a k or an exponent above
+    MAX_MONOMIAL_NUMBER in absolute value (BoundOutOfRange), so the text
+    of what they build reads back.
     """
 
     __slots__ = ("_res",)
@@ -54,7 +57,7 @@ class Monomial:
                         "k and exponent"
                     )
                 res[i % n].append((k, u))
-        _set_res(self, _built(res))
+        _set_res(self, _within_ceiling(_built(res)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
@@ -74,7 +77,8 @@ class Monomial:
             return NotImplemented
         if self.n != other.n:
             raise RankMismatch("cannot multiply monomials over different ranks")
-        return _canonical(_built([[*a, *b] for a, b in zip(self._res, other._res)]))
+        return _canonical(_within_ceiling(
+            _built([[*a, *b] for a, b in zip(self._res, other._res)])))
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self._res == other._res
@@ -171,7 +175,7 @@ def _format(res, texts: list[_ResidueTexts]) -> str:
 
 _TERM_RE = re.compile(r"Y\((\d+),(-?\d+)\)(?:\^(-?\d+))?\Z")
 
-# largest |k| and |exponent| parse_monomial accepts: one above the partition
+# largest |k| and |exponent| a built monomial holds: one above the partition
 # size ceiling, so the corner image of a row of MAX_PARTITION_SIZE boxes,
 # holding Y(0,MAX_PARTITION_SIZE+1)^-1 at n = 3, reads back
 MAX_MONOMIAL_NUMBER = MAX_PARTITION_SIZE + 1
@@ -190,18 +194,37 @@ def _number(text: str, what: str) -> int:
     value = int(digits or "0")
     if text.startswith("-"):
         value = -value
+    _check_number(value, what)
+    return value
+
+
+def _check_number(value: int, what: str) -> None:
     if abs(value) > MAX_MONOMIAL_NUMBER:
         raise BoundOutOfRange(
             f"{what} {value} is above the ceiling of {MAX_MONOMIAL_NUMBER} in absolute value"
         )
-    return value
+
+
+def _within_ceiling(res: tuple) -> tuple:
+    """``res`` once every k and exponent in it is within MAX_MONOMIAL_NUMBER
+    in absolute value, so its text reads back; BoundOutOfRange otherwise.
+
+    The public builders (the constructor, ``*``, :func:`mult_a` and the
+    parser) call it.  ``e_m`` and ``f_m``, the operators' hot path, and
+    the corner map, which :func:`_built` serves once per walk pair, do
+    not."""
+    for terms in res:
+        for k, u in terms:
+            _check_number(k, "k")
+            _check_number(u, "exponent")
+    return res
 
 
 def parse_monomial(text: str, n: int) -> Monomial:
     """Parse ``Y(i,k)`` factors joined by ``*``; ``1`` is the empty product.
 
     A k or an exponent above MAX_MONOMIAL_NUMBER in absolute value raises
-    BoundOutOfRange.
+    BoundOutOfRange, written or summed over equal factors.
     """
     check_rank(n)
     text = text.strip()
@@ -229,7 +252,7 @@ def parse_monomial(text: str, n: int) -> Monomial:
         if u == 0:
             raise ParseError(f"factor {term!r} has exponent 0")
         res[i].append((k, u))
-    return _canonical(_built(res))
+    return _canonical(_within_ceiling(_built(res)))
 
 
 def format_monomial(m: Monomial) -> str:
@@ -240,10 +263,12 @@ def format_monomial(m: Monomial) -> str:
 def mult_a(m: Monomial, i: int, k: int, sign: int = 1) -> Monomial:
     """Multiply by A(i,k)^sign with cancellation (sign is +1 or -1).
 
-    Only residues i and i +- 1 change; the others are shared with m."""
+    Only residues i and i +- 1 change; the others are shared with m.  A
+    product with a k or an exponent above MAX_MONOMIAL_NUMBER in absolute
+    value raises BoundOutOfRange."""
     if type(sign) is not int or sign not in (1, -1):
         raise UnknownChoice(f"sign must be +1 or -1, got {sign!r}")
-    return _canonical(_times_a(m._res, _color(m, i), _int_k(k), sign))
+    return _canonical(_within_ceiling(_times_a(m._res, _color(m, i), _int_k(k), sign)))
 
 
 def _times_a(res: tuple, i: int, k: int, sign: int) -> tuple:

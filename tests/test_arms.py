@@ -22,8 +22,14 @@ from affinecrystal import (
     random_arm,
     validate_arm,
 )
-from affinecrystal import _kernel_py
-from affinecrystal.arms import _ARM_FILE_BYTES, horizontal_value, illegal_boxes
+from affinecrystal import _kernel_py, arms
+from affinecrystal.arms import (
+    _ARM_FILE_BYTES,
+    _valid_prefix,
+    _violations,
+    horizontal_value,
+    illegal_boxes,
+)
 from affinecrystal.errors import (
     ArmAxiomViolation,
     BoundOutOfRange,
@@ -237,10 +243,12 @@ class TestRandomArm:
             a = random_arm(4, 1, seed)
             assert 0 <= a.value(1) <= 3
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 100])
     def test_matches_full_window_oracle(self, n):
-        # random_arm reads each window A_s + A_(t-s) once, for s <= t // 2
-        for horizon in (1, 2, 3, 7, 40, 64, 200):
+        # random_arm draws from the range the slope rule admits; the oracle
+        # cuts axiom (i)'s range by every window A_s + A_(t-s), s < t
+        horizons = (1, 2, 3, 7, 40, 64, 200)
+        for horizon in horizons + ((1000,) if n in (3, 100) else ()):
             for seed in range(6):
                 assert random_arm(n, horizon, seed).values == \
                     oracle_random_arm(n, horizon, seed), (horizon, seed)
@@ -251,6 +259,86 @@ class TestRandomArm:
         for n in (3, 4, 5):
             for seed in range(10):
                 assert list(validate_arm(random_arm(n, 40, seed), 40)) == []
+
+
+def slope_rule_accepts(n, table):
+    return len(_valid_prefix(n, len(table), lambda t, lo, hi: table[t - 1])) == len(table)
+
+
+def sweep_accepts(n, table):
+    return next(_violations(ArmSequence(n, table), len(table)), None) is None
+
+
+class TestSlopeRule:
+    """The linear rule that loads and draws tables, against the pair sweep
+    that validate_arm lists."""
+
+    @pytest.mark.parametrize("n, top", [(3, 5), (4, 4)])
+    def test_agrees_with_sweep_exhaustively(self, n, top):
+        # every table in a box one wider than axiom (i) on each side
+        tables = 0
+        for horizon in range(1, top + 1):
+            accepted = []
+            for table in itertools.product(*(range(t - 2, (n - 1) * t + 2)
+                                             for t in range(1, horizon + 1))):
+                assert slope_rule_accepts(n, table) == sweep_accepts(n, table), table
+                if slope_rule_accepts(n, table):
+                    accepted.append(table)
+                tables += 1
+            assert accepted == oracle_valid_tables(n, horizon)
+        assert tables == {3: 17045, 4: 6294}[n]
+
+    @pytest.mark.parametrize("horizon, cases", [(40, 200), (200, 60), (1000, 12)])
+    def test_agrees_with_sweep_on_perturbed_tables(self, horizon, cases):
+        # one value of a valid table moved by one, every other case the
+        # last one, where a move most often stays valid
+        rng = random.Random(horizon)
+        kept = 0
+        for case in range(cases):
+            n = rng.choice((3, 4, 7))
+            table = list(random_arm(n, horizon, case).values)
+            at = horizon - 1 if case % 2 else rng.randrange(horizon)
+            table[at] += rng.choice((-1, 1))
+            accepted = slope_rule_accepts(n, table)
+            assert accepted == sweep_accepts(n, table), (n, case)
+            kept += accepted
+        # past H = 40 the slope interval is too narrow for any move to stay
+        assert kept < cases and (kept > 0) == (horizon == 40)
+
+    def test_valid_tables_skip_the_sweep(self, monkeypatch, tmp_path):
+        # loading a valid table never enters the quadratic sweep; an invalid
+        # one raises the first record the sweep yields
+        tables = [random_arm(n, 1000, seed).values for n, seed in ((3, 1), (4, 2), (100, 3))]
+        sweep = _violations
+
+        def refuse(a, horizon):
+            raise AssertionError("the pair sweep ran on a valid table")
+
+        monkeypatch.setattr(arms, "_violations", refuse)
+        path = tmp_path / "table.txt"
+        for n, table in zip((3, 4, 100), tables):
+            assert arm_from_values(n, table).values == table
+            path.write_text(" ".join(map(str, table)))
+            assert arm_from_file(n, str(path)).values == table
+            assert arm_from_descriptor(n, f"file:{path}").values == table
+        assert arm_from_descriptor(3, "random:1:1000").values == tables[0]
+
+        monkeypatch.setattr(arms, "_violations", sweep)
+        rng = random.Random(4)
+        refused = 0
+        for n, table in zip((3, 4, 100), tables):
+            for _ in range(3):
+                bad = list(table)
+                bad[rng.randrange(len(bad))] += rng.choice((-1, 1))
+                first = next(sweep(ArmSequence(n, bad), len(bad)), None)
+                if first is None:
+                    continue
+                refused += 1
+                with pytest.raises(ArmAxiomViolation) as err:
+                    arm_from_values(n, bad)
+                assert (err.value.t, err.value.u, str(err.value)) == \
+                    (first.t, first.u, str(first))
+        assert refused >= 6
 
 
 class TestIllegal:

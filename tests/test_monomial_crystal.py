@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinecrystal import (
     Monomial,
@@ -30,6 +32,12 @@ from helpers import (
     random_reachable_monomial,
     y,
 )
+
+TOP = MAX_MONOMIAL_NUMBER
+# small numbers, and numbers at either side of the ceiling
+NUMBERS = st.integers(-3, 3) | st.integers(TOP - 2, TOP + 1) | st.integers(-TOP - 1, -TOP + 2)
+FACTORS = st.dictionaries(st.tuples(st.integers(-4, 8), NUMBERS),
+                          NUMBERS.filter(bool), max_size=4)
 
 BIG_IMAGE = "Y(2,12)^-1*Y(2,10)*Y(1,9)^-1*Y(2,8)*Y(1,7)^-1*Y(1,5)*Y(3,5)"
 
@@ -457,3 +465,56 @@ class TestCanonicalForm:
                        else "front" if k < ks[0] else "end" if k > ks[-1]
                        else "existing" if k in ks else "middle")
         assert places == {"empty", "cancel", "front", "end", "existing", "middle"}
+
+
+class TestCeiling:
+    """Every monomial a public builder returns formats to text that
+    parse_monomial reads back; a result above the ceiling is refused."""
+
+    @staticmethod
+    def expected(n, *terms):
+        # the product of ((i, k), u) factors in a plain dict, and whether
+        # any k or exponent of it is above the ceiling
+        exp = {}
+        for (i, k), u in terms:
+            exp[i % n, k] = exp.get((i % n, k), 0) + u
+        exp = {key: u for key, u in exp.items() if u}
+        return exp, any(abs(k) > TOP or abs(u) > TOP for (_, k), u in exp.items())
+
+    def check(self, n, build, terms):
+        exp, over = self.expected(n, *terms)
+        if over:
+            with pytest.raises(BoundOutOfRange, match=r"^(k|exponent) -?\d+ is above "
+                               rf"the ceiling of {TOP} in absolute value$"):
+                build()
+            return None
+        m = build()
+        assert dict(m.factors()) == exp
+        assert parse_monomial(format_monomial(m), n) == m
+        return m
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(3, 5), a=FACTORS, b=FACTORS, i=st.integers(0, 7), k=NUMBERS,
+           sign=st.sampled_from([1, -1]))
+    def test_built_monomials_read_back(self, n, a, b, i, k, sign):
+        left = self.check(n, lambda: Monomial(n, a), a.items())
+        right = self.check(n, lambda: Monomial(n, b), b.items())
+        if left is None or right is None:
+            return
+        self.check(n, lambda: left * right, [*a.items(), *b.items()])
+        # both factor lists written out, so equal k may sum past the ceiling
+        factors = [*left.factors(), *right.factors()]
+        text = "*".join(f"Y({j},{kk})^{u}" for (j, kk), u in factors) or "1"
+        self.check(n, lambda: parse_monomial(text, n), factors)
+        a_factor = [((i, k - 1), sign), ((i, k + 1), sign),
+                    ((i + 1, k), -sign), ((i - 1, k), -sign)]
+        self.check(n, lambda: mult_a(left, i, k, sign), [*a.items(), *a_factor])
+
+    def test_refused_examples(self):
+        # each built a monomial whose text parse_monomial refuses
+        for build in (lambda: Monomial(3, {(0, 10**7): 1}),
+                      lambda: mult_a(Monomial(3, {(0, TOP): 1}), 0, TOP, -1),
+                      lambda: y(3, 0, 1, TOP) * y(3, 0, 1),
+                      lambda: parse_monomial(f"Y(0,1)^{TOP}*Y(0,1)", 3)):
+            with pytest.raises(BoundOutOfRange, match=r" is above the ceiling of 1000001 "):
+                build()
