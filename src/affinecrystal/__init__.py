@@ -13,6 +13,13 @@ from .arms import (
     arm_from_descriptor,
     arm_from_file,
     arm_from_values,
+    bracket_string,
+    count_regular,
+    e_box,
+    e_up,
+    eps_phi,
+    f_box,
+    f_down,
     horizontal_arm,
     is_regular,
     random_arm,
@@ -26,7 +33,6 @@ from .graphs import (
     GraphMismatch,
     compare_graphs,
     compare_models,
-    count_regular,
     export_dot,
     export_json,
     generate_graph,
@@ -48,14 +54,6 @@ from .monomial_crystal import (
     parse_monomial,
     stats,
     weight,
-)
-from .partition_crystal import (
-    bracket_string,
-    e_box,
-    e_up,
-    eps_phi,
-    f_box,
-    f_down,
 )
 from .partitions import (
     Box,

@@ -4,7 +4,7 @@ Raw part tuples in, raw part tuples out.  An arm sequence arrives as its
 value table, indexed from t = 1, or as None for the horizontal formula.
 :func:`arm_value` is the one reader of a table: every A_t goes through it,
 and it alone raises HorizonExceedsTable past the table's end.
-High-level wrappers live in :mod:`affinecrystal.partition_crystal`.
+High-level wrappers live in :mod:`affinecrystal.arms`, the kernel's one caller.
 
 A corner is the token ``(height, -row, side)``: the box (row, col) has
 height row + col - 1, so col = height - row + 1, and ``side`` is OPEN for

@@ -14,26 +14,27 @@ import sys
 
 from .arms import (
     MAX_ARM_HORIZON,
+    MAX_COUNT_SIZE,
     arm_from_descriptor,
+    count_regular,
+    e_up,
+    f_down,
     illegal_boxes,
     validate_arm,
 )
 from .errors import ArmAxiomViolation, CrystalError, ParseError, UnknownChoice
 from .graphs import (
-    MAX_COUNT_SIZE,
     MONOMIAL_MODEL,
     PARTITION_MODEL,
     compare_models,
-    count_regular,
     export_dot,
     export_json,
     generate_graph,
 )
 from .graphs import compare_graphs  # noqa: F401 (patched by the tracer)
 from .isomorphism import partition_to_monomial
-from .monomial_crystal import _number, e_m, f_m, format_monomial, parse_monomial
-from .partition_crystal import e_up, f_down
-from .partitions import check_rank, format_partition, parse_partition
+from .monomial_crystal import _number, _within_ceiling, e_m, f_m, format_monomial, parse_monomial
+from .partitions import _check_size, check_rank, format_partition, parse_partition
 
 
 # built once per process, on the first main call: building it costs about
@@ -121,15 +122,22 @@ def _cmd_apply(args) -> int:
         obj = parse_partition(text)
         a = arm_from_descriptor(args.n, args.arm)
         steps = {"f": lambda x, i: f_down(x, i, a), "e": lambda x, i: e_up(x, i, a)}
-        fmt = format_partition
+        fmt, check = format_partition, lambda lam: _check_size(lam.size)
     else:
         obj = parse_monomial(text, args.n)
-        steps, fmt = {"f": f_m, "e": e_m}, format_monomial
+        steps = {"f": f_m, "e": e_m}
+        fmt, check = format_monomial, lambda m: _within_ceiling(m._res)
     for kind, i in ops:
         if obj is None:
             break
         obj = steps[kind](obj, i)
-    print("0" if obj is None else fmt(obj))
+    if obj is None:
+        print("0")
+        return 0
+    # the operators can step past the ceiling the parsers hold input to;
+    # what apply prints must read back as its input
+    check(obj)
+    print(fmt(obj))
     return 0
 
 

@@ -1,8 +1,10 @@
-"""Depth-bounded crystal graphs: generation, comparison, counting, export.
+"""Depth-bounded crystal graphs: generation, comparison, export.
 
 Graphs are generated by repeated lowering from a highest-weight root (the
-empty partition, or the monomial Y(0,0)).  Every lowering step adds one box
-worth of depth, so breadth-first levels are well defined and vertex ids are
+empty partition, or the monomial Y(0,0)), through the model's side
+``(root, children, label)`` from ``arms`` or ``monomial_crystal``; no
+vertex is looked inside here.  Every lowering step adds one box worth of
+depth, so breadth-first levels are well defined and vertex ids are
 canonical: root is 0, children are explored by ascending color, and a
 vertex keeps the id it got on first discovery.
 """
@@ -13,8 +15,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, NoReturn
 
-from . import _backend, isomorphism
-from .arms import ArmSequence, horizontal_arm
+from .arms import _partition_side
 from .errors import (
     BoundOutOfRange,
     DepthMismatch,
@@ -22,24 +23,19 @@ from .errors import (
     RankMismatch,
     UnknownChoice,
 )
+from .isomorphism import _corner_check
 from .monomial_crystal import _monomial_side
-from .partitions import MAX_RANK, _format_parts, _trusted, check_rank
+from .partitions import MAX_RANK, check_rank
 
 # unused here; perfbench/tracing.py patches these five names on this module
+from .arms import f_down  # noqa: F401 (patched by the tracer)
 from .arms import is_regular  # noqa: F401 (patched by the tracer)
 from .monomial_crystal import f_m  # noqa: F401 (patched by the tracer)
 from .monomial_crystal import format_monomial  # noqa: F401 (patched by the tracer)
-from .partition_crystal import f_down  # noqa: F401 (patched by the tracer)
 from .partitions import partitions_of_size  # noqa: F401 (patched by the tracer)
 
 PARTITION_MODEL = "partition"
 MONOMIAL_MODEL = "monomial"
-
-# largest size count_regular accepts.  The work grows 3-5x per 10 sizes and
-# faster at larger n, while the lists stay small.  On a 2-core x86 host,
-# sizes 70, 80, 90 and 100 took 1.1, 4.2, 13 and 37 s at n = 3, and 3.3,
-# 10, 57 and 132 s at n = 6
-MAX_COUNT_SIZE = 100
 
 # most vertices a graph or a walk may reach.  On a 2-core x86 host the
 # n = 4, depth-41 monomial graph (89,037 vertices) took 4 s and peaked at
@@ -63,9 +59,29 @@ class CrystalGraph(NamedTuple):
     root: int = 0
 
     def out_edges(self) -> list[dict[int, int]]:
-        """Per-vertex map color -> destination id."""
-        out: list[dict[int, int]] = [{} for _ in self.vertices]
-        for src, dst, color in self.edges:
+        """Per-vertex map color -> destination id.
+
+        A hand-built graph that :func:`graph_from_json` would refuse for its
+        root or an edge raises ParseError: an edge that is not a triple, a
+        root or an endpoint that is not a vertex id, a color outside
+        0..n-1, or a second out-edge of one color."""
+        count, n, root = len(self.vertices), self.n, self.root
+        if type(root) is not int or not 0 <= root < count:
+            raise ParseError(f"root {root!r} is not a vertex id")
+        out: list[dict[int, int]] = [{} for _ in range(count)]
+        for edge in self.edges:
+            try:
+                src, dst, color = edge
+            except (TypeError, ValueError):
+                raise ParseError(f"edge {edge!r} is not a (src, dst, color) triple") from None
+            if not (type(src) is type(dst) is int and 0 <= src < count and 0 <= dst < count):
+                raise ParseError(
+                    f"edge {src!r} -> {dst!r} has an endpoint that is not a vertex id"
+                )
+            if type(color) is not int or not 0 <= color < n:
+                raise ParseError(f"edge color {color!r} outside 0..{n - 1}")
+            if color in out[src]:
+                raise ParseError(f"vertex {src} has two out-edges of color {color}")
             out[src][color] = dst
         return out
 
@@ -102,22 +118,10 @@ def _check_level(vertices: int, level: int) -> None:
         )
 
 
-def _partition_arm(n: int, a: ArmSequence | None) -> ArmSequence:
-    if a is None:
-        return horizontal_arm(n)
-    if a.n != n:
-        raise RankMismatch(f"arm sequence has rank {a.n}, graph has rank {n}")
-    return a
-
-
-def generate_graph(
-    model: str,
-    n: int,
-    depth: int,
-    a: ArmSequence | None = None,
-) -> CrystalGraph:
+def generate_graph(model: str, n: int, depth: int, a=None) -> CrystalGraph:
     """All vertices within ``depth`` lowering steps of the root, with every
-    lowering edge among them."""
+    lowering edge among them; ``a`` is a partition model's arm sequence,
+    the horizontal one when None."""
     check_rank(n)
     _check_graph_size(n, depth)
     vertices, edges = _bfs(*_model_side(model, n, a), depth)
@@ -125,7 +129,7 @@ def generate_graph(
         model=model,
         n=n,
         depth=depth,
-        arm=_partition_arm(n, a).descriptor if model == PARTITION_MODEL else None,
+        arm=("horizontal" if a is None else a.descriptor) if model == PARTITION_MODEL else None,
         vertices=vertices,
         edges=edges,
     )
@@ -228,8 +232,7 @@ def _model_side(model, n, a):
     """``(root, children, label)`` of a model's crystal; ``label(v)`` is
     v's canonical text."""
     if model == PARTITION_MODEL:
-        table, f_children = _partition_arm(n, a).values, _backend.kernel.f_children
-        return (), lambda parts: f_children(parts, n, table), _format_parts
+        return _partition_side(n, a)
     if model == MONOMIAL_MODEL:
         return _monomial_side(n)
     raise UnknownChoice(f"unknown model {model!r}")
@@ -253,14 +256,7 @@ def compare_models(n, depth, model1, model2, a1=None, a2=None, use_psi=False):
             "one second (--model partition --model2 monomial; model1, model2)")
     (root1, children1, label1), (root2, children2, label2) = (
         _model_side(model1, n, a1), _model_side(model2, n, a2))
-    check = None
-    if use_psi:
-        def check(parts, v):
-            # looked up at call time, so a profiler or a test can wrap it
-            if isomorphism.partition_to_monomial(_trusted(parts), n)._res == v:
-                return None
-            return f"{label1(parts)!r} does not correspond to {label2(v)!r}"
-
+    check = _corner_check(n, label1, label2) if use_psi else None
     ids1, ids2, mismatch = _walk((root1, children1), (root2, children2), depth, check)
     if mismatch is not None:
         # a vertex not yet paired is the next one its side would discover
@@ -297,34 +293,6 @@ def compare_graphs(g1: CrystalGraph, g2: CrystalGraph) -> GraphComparison:
     if mismatch is not None:
         return GraphComparison(mismatch=mismatch)
     return GraphComparison(bijection=dict(zip(ids1, ids2)))
-
-
-def count_regular(n: int, a: ArmSequence, max_size: int) -> list[int]:
-    """Number of regular partitions of each size 0..max_size.
-
-    A box's hook (arm + leg + 1) depends only on its own row and the rows
-    below it, so removing the first row of a regular partition leaves a
-    regular partition.  The count therefore grows partitions from the last
-    row upward.  Each rule "leg n t - 1 - A_t, arm A_t" forbids one
-    interval of lengths for the new first row, so no box is scanned, and
-    the rows too long to take another row above are counted in bulk.
-
-    A table-backed ``a`` of horizon H covers every hook below n (H + 1).
-    For max_size >= n (H + 1) the one-row partition (n (H + 1)) needs
-    A_(H+1), so HorizonExceedsTable(H + 1, H) is raised before any
-    counting.
-
-    ``max_size`` must be an int in 0..MAX_COUNT_SIZE (else BoundOutOfRange),
-    so a huge bound fails at once instead of allocating lists of its length.
-    """
-    check_rank(n)
-    if a.n != n:
-        raise RankMismatch(f"arm sequence has rank {a.n}, count has rank {n}")
-    if type(max_size) is not int or not 0 <= max_size <= MAX_COUNT_SIZE:
-        raise BoundOutOfRange(
-            f"max_size must be an int in 0..{MAX_COUNT_SIZE}, got {max_size!r}"
-        )
-    return _backend.kernel.regular_counts(n, a.values, max_size)
 
 
 def _refuse_label(g: CrystalGraph) -> NoReturn:

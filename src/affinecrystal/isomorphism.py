@@ -5,18 +5,18 @@ corners times Y(color, height+1)^-1 over its removable corners.  On
 partitions that are regular for the horizontal arm sequence this map
 intertwines the two families of crystal operators; :func:`check_intertwining`
 computes both sides of that statement, one through each model, and reports
-them as witnesses.
+them as witnesses, and :func:`_corner_check` checks it on every pair of
+a synchronized walk.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .arms import horizontal_arm, is_regular
+from .arms import e_up, f_down, horizontal_arm, is_regular
 from .errors import NotRegular
 from .monomial_crystal import Monomial, _built, _canonical, e_m, f_m
-from .partition_crystal import e_up, f_down
-from .partitions import Partition, check_rank
+from .partitions import Partition, _trusted, check_rank
 
 
 def partition_to_monomial(lam: Partition, n: int) -> Monomial:
@@ -58,16 +58,9 @@ class IntertwineReport(NamedTuple):
     f_monomial_side: Monomial | None
 
     @property
-    def e_ok(self) -> bool:
-        return self.e_partition_side == self.e_monomial_side
-
-    @property
-    def f_ok(self) -> bool:
-        return self.f_partition_side == self.f_monomial_side
-
-    @property
     def ok(self) -> bool:
-        return self.e_ok and self.f_ok
+        return (self.e_partition_side, self.f_partition_side) == (
+            self.e_monomial_side, self.f_monomial_side)
 
 
 def check_intertwining(lam: Partition, i: int, n: int) -> IntertwineReport:
@@ -92,3 +85,16 @@ def check_intertwining(lam: Partition, i: int, n: int) -> IntertwineReport:
         f_partition_side=None if down is None else partition_to_monomial(down, n),
         f_monomial_side=f_m(image, i),
     )
+
+
+def _corner_check(n: int, label1, label2):
+    """``check(parts, v)`` for a walk that pairs partition vertices (part
+    tuples) with monomial ones (per-residue tuples): None when the corner
+    map sends ``parts`` to ``v``, else why not, in the sides' labels."""
+    def check(parts, v):
+        # looked up at call time, so a profiler or a test can wrap it
+        if partition_to_monomial(_trusted(parts), n)._res == v:
+            return None
+        return f"{label1(parts)!r} does not correspond to {label2(v)!r}"
+
+    return check

@@ -189,12 +189,15 @@ def parse_partition(text: str) -> Partition:
         raise BoundOutOfRange(
             f"a part has too many digits; the size ceiling is {MAX_PARTITION_SIZE}"
         ) from None
-    size = sum(parts)
+    _check_size(sum(parts))
+    return Partition(parts)
+
+
+def _check_size(size: int) -> None:
     if size > MAX_PARTITION_SIZE:
         raise BoundOutOfRange(
             f"partition size {size} is above the ceiling of {MAX_PARTITION_SIZE}"
         )
-    return Partition(parts)
 
 
 def format_partition(lam: Partition) -> str:

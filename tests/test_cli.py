@@ -547,6 +547,37 @@ class TestCeilings:
             code, out, err = run(capsys, "--n", "3", "apply", text, "e0")
             assert code == 0 and err == "" and out.strip()
 
+    @pytest.mark.parametrize("start, word, printed", [
+        (f"[{MAX_PARTITION_SIZE}]", "f1", None),
+        (f"[{MAX_PARTITION_SIZE - 1}]", "f0", f"[{MAX_PARTITION_SIZE}]"),
+        (f"[{MAX_PARTITION_SIZE}]", "f1,e1", f"[{MAX_PARTITION_SIZE}]"),
+    ])
+    def test_apply_prints_no_partition_past_the_ceiling(self, capsys, start, word, printed):
+        # f1 adds the box that takes [MAX] past the ceiling parse_partition
+        # holds input to; only the printed result is checked, and what
+        # apply prints, it reads back
+        code, out, err = run(capsys, "--n", "3", "apply", start, word)
+        if printed is None:
+            assert (code, out) == (2, "")
+            assert err == (f"error: partition size {MAX_PARTITION_SIZE + 1} "
+                           f"is above the ceiling of {MAX_PARTITION_SIZE}\n")
+        else:
+            assert (code, out, err) == (0, printed + "\n", "")
+            assert run(capsys, "--n", "3", "apply", printed, "e0")[0] == 0
+
+    @pytest.mark.parametrize("k, refused", [(MAX_MONOMIAL_NUMBER, True),
+                                            (MAX_MONOMIAL_NUMBER - 2, False)])
+    def test_apply_prints_no_monomial_past_the_ceiling(self, capsys, k, refused):
+        # f1 on Y(1,k) gives Y(1,k+2)^-1*Y(0,k+1)*Y(2,k+1): past the ceiling
+        # parse_monomial holds input to once k + 1 is
+        code, out, err = run(capsys, "--n", "3", "apply", f"Y(1,{k})", "f1")
+        if refused:
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1 and "ceiling" in err
+        else:
+            assert (code, out) == (0, f"Y(1,{k + 2})^-1*Y(0,{k + 1})*Y(2,{k + 1})\n")
+            assert run(capsys, "--n", "3", "apply", out.strip(), "e1")[:2] == (0, f"Y(1,{k})\n")
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_depth_just_below_and_above(self, capsys, monkeypatch, n):
         # a small ceiling, so the depth just below it runs in full

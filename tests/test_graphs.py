@@ -467,16 +467,24 @@ class TestComparison:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_fuzzed_mutants_compared_or_refused(self, data):
-        # one edit of a real export that graph_from_json reads, compared
-        # with the original both ways: a CrystalError, a mismatch, or a
-        # bijection that an independent check confirms
+        # one edit of a real export, compared with the original both ways:
+        # a CrystalError, a mismatch, or a bijection that an independent
+        # check confirms.  An edit that graph_from_json refuses is built by
+        # hand, and compare_graphs refuses it with ParseError
         model = data.draw(st.sampled_from(["partition", "monomial"]))
         n, depth = data.draw(st.sampled_from([3, 4])), data.draw(st.integers(0, 6))
         doc = copy.deepcopy(exported_doc(model, n, depth))
         edges, count = doc["edges"], len(doc["vertices"])
         kind = data.draw(st.sampled_from(
-            ["retarget", "drop", "add", "depth", "renumber"] if edges
-            else ["add", "depth", "renumber"]))
+            ["retarget", "drop", "add", "depth", "renumber", "malformed"] if edges
+            else ["add", "depth", "renumber", "malformed"]))
+        original = graph_from_json(json.dumps(exported_doc(model, n, depth)))
+        if kind == "malformed":
+            mutant = data.draw(malformed(original))
+            for g1, g2 in ((original, mutant), (mutant, original)):
+                with pytest.raises(ParseError):
+                    compare_graphs(g1, g2)
+            return
         if kind == "retarget":  # an edge pointed at another vertex
             e = data.draw(st.sampled_from(edges))
             e["dst"] = data.draw(st.integers(0, count - 1).filter(lambda v: v != e["dst"]))
@@ -497,7 +505,6 @@ class TestComparison:
             for e in edges:
                 e["src"], e["dst"] = perm[e["src"]], perm[e["dst"]]
             doc["root"] = perm[doc["root"]]
-        original = graph_from_json(json.dumps(exported_doc(model, n, depth)))
         mutant = graph_from_json(json.dumps(doc))
         for g1, g2 in ((original, mutant), (mutant, original)):
             try:
@@ -978,6 +985,30 @@ def assert_colored_bijection(g1, g2, bijection):
     assert bijection[g1.root] == g2.root
     assert len(g1.edges) == len(g2.edges)
     assert {(bijection[s], bijection[d], c) for s, d, c in g1.edges} == set(g2.edges)
+
+
+@st.composite
+def malformed(draw, g):
+    """``g`` with one root or edge field that graph_from_json refuses: an
+    id past either end, a float or a bool, a color outside 0..n-1, an edge
+    repeated, so its source has two out-edges of one color, or an edge
+    that is not a triple."""
+    count = len(g.vertices)
+    field = draw(st.sampled_from(["src", "dst", "color", "root", "arity"]
+                                 + (["repeat"] if g.edges else [])))
+    if field == "root":
+        return g._replace(root=draw(st.sampled_from([-1, count, 0.0, False])))
+    edge = draw(st.sampled_from(g.edges or [(0, 0, 0)]))
+    if field == "arity":
+        edge = draw(st.sampled_from([edge[:2], edge + (0,), None]))
+    elif field != "repeat":
+        k = ("src", "dst", "color").index(field)
+        top = g.n if field == "color" else count
+        bad = draw(st.sampled_from([-1, top, float(edge[k]), bool(edge[k])]))
+        edge = edge[:k] + (bad,) + edge[k + 1:]
+    edges = list(g.edges)
+    edges.insert(draw(st.integers(0, len(edges))), edge)
+    return g._replace(edges=edges)
 
 
 @functools.cache

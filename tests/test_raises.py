@@ -25,14 +25,29 @@ def error_kinds():
             if isinstance(node, ast.ClassDef) and node.name != "CrystalError"}
 
 
+def class_name(exc):
+    """The class an exception expression calls or names, None for none."""
+    exc = exc.func if isinstance(exc, ast.Call) else exc
+    return exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+
+
 def raised_names(tree):
     """(name, line) for every raise: the class called or named, None for a
-    bare re-raise."""
+    bare re-raise.  ``raise next(gen(...))``, with ``gen`` a generator
+    defined in the same tree, names the class of every value it yields."""
+    functions = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Raise):
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
-            yield name, node.lineno
+            exc = node.exc
+            if (isinstance(exc, ast.Call) and class_name(exc) == "next"
+                    and exc.args and class_name(exc.args[0]) in functions):
+                gen = functions[class_name(exc.args[0])]
+                values = [y.value for y in ast.walk(gen) if isinstance(y, ast.Yield)]
+                for value in values or [exc]:
+                    yield class_name(value), node.lineno
+            else:
+                yield class_name(exc), node.lineno
 
 
 def package_raises():
@@ -64,6 +79,19 @@ def test_scan_sees_a_stray_raise():
     )
     assert sorted(raised_names(tree), key=lambda r: r[1]) == [
         ("ValueError", 3), ("CrystalError", 4), (None, 8)]
+    # a raised yield names what the generator yields, and a generator
+    # that yields nothing leaves the raise naming ``next``
+    tree = ast.parse(
+        "def gen(x):\n"
+        "    yield errors.ParseError(x)\n"
+        "    yield KeyError(x)\n"
+        "def empty():\n"
+        "    return iter(())\n"
+        "raise next(gen(1))\n"
+        "raise next(empty())\n"
+    )
+    assert sorted(raised_names(tree), key=lambda r: (r[1], r[0])) == [
+        ("KeyError", 6), ("ParseError", 6), ("next", 7)]
     assert "CrystalError" not in error_kinds()
     assert {"ParseError", "ArmAxiomViolation"} <= error_kinds()
 

@@ -10,9 +10,9 @@ import types
 
 import affinecrystal
 import affinecrystal._backend as _backend
+import affinecrystal.arms as arms
 import affinecrystal.cli as cli
 import affinecrystal.graphs as graphs
-import affinecrystal.partition_crystal as partition_crystal
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -60,7 +60,7 @@ def test_tracer_counts_kernel_steps(monkeypatch):
     with tracing.installed(tracer, affinecrystal):
         for lam in shapes:
             for i in range(n):
-                partition_crystal.f_down(lam, i, a)
+                arms.f_down(lam, i, a)
     assert tracer.calls["kernel.step"] == n * len(shapes)
 
 
