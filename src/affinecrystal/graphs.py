@@ -39,7 +39,10 @@ MONOMIAL_MODEL = "monomial"
 
 # most vertices a graph or a walk may reach.  On a 2-core x86 host the
 # n = 4, depth-41 monomial graph (89,037 vertices) took 4 s and peaked at
-# 160 MB as JSON export, so the ceiling allows about a minute and 1 GB
+# 160 MB as JSON export, so the ceiling allows about a minute and 1 GB.
+# The model walk holds two levels: compare_models(3, 40, ...) with the
+# corner-map check (39,636 pairs) peaks at 11.6 MB under tracemalloc,
+# 9.5 MB of it the monomial side's memos
 MAX_GRAPH_VERTICES = 500_000
 # a partition with no part repeated n times has none repeated n + 1 times,
 # so n = 3 has the fewest vertices at every depth; it passes the ceiling at
@@ -179,6 +182,24 @@ class GraphMismatch(NamedTuple):
         return f"{self.kind}{where}{color}{tail}"
 
 
+# every mismatch either walk reports is worded here
+def _lowers_once(v1, v2, color, w2) -> GraphMismatch:
+    side = "first" if w2 is None else "second"
+    return GraphMismatch("edge-presence", v1, v2, color, f"only the {side} graph lowers here")
+
+
+def _disagrees(vertex, color, detail) -> GraphMismatch:
+    return GraphMismatch("label-mismatch", vertex, vertex, color, detail)
+
+
+def _conflict(w1, w2, color) -> GraphMismatch:
+    return GraphMismatch("inconsistent-pairing", w1, w2, color, "conflicts with an earlier pairing")
+
+
+def _unreached(pairs, count1, count2) -> GraphMismatch:
+    return GraphMismatch("unreached-vertices", detail=f"paired {pairs} of {count1}/{count2}")
+
+
 class GraphComparison(NamedTuple):
     """Either a total vertex bijection or a mismatch witness."""
 
@@ -196,36 +217,43 @@ def _walk(side1, side2, levels, check=None):
     A side is ``(root, children)``; ``children(v)`` lists v's child of each
     color, None where that color does not lower v.  ``check(v1, v2)`` runs
     on each new pair, root first, and returns None or why they disagree.
-    Returns each side's map from vertex to pair index (its discovery order)
-    and the first mismatch, naming the sides' own vertices, or None.
+    Returns the number of pairs and the first mismatch or None, naming each
+    vertex by its pair index (discovery order); a vertex not yet paired is
+    the next one its side would discover.
+
+    As in :func:`_bfs`, a child can only meet a vertex of its own level, so
+    ``ids1`` and ``ids2`` map one level's new vertices to their pair index,
+    in pairing order, and the next level walks them as its frontier: the
+    walk holds two levels at a time.
     """
     (root1, children1), (root2, children2) = side1, side2
-    ids1, ids2 = {root1: 0}, {root2: 0}
     detail = check and check(root1, root2)
     if detail:
-        return ids1, ids2, GraphMismatch("label-mismatch", root1, root2, detail=detail)
-    frontier = [(root1, root2)]
+        return 1, _disagrees(0, None, detail)
+    ids1, ids2 = {root1: 0}, {root2: 0}
+    pairs = 1
     for level in range(1, levels + 1):
-        nxt = []
-        for v1, v2 in frontier:
+        # a level's pair indices are consecutive, ending at ``pairs``
+        frontier = enumerate(zip(ids1, ids2), pairs - len(ids1))
+        ids1, ids2 = {}, {}
+        for src, (v1, v2) in frontier:
             for color, (w1, w2) in enumerate(zip(children1(v1), children2(v2))):
                 if w1 is None or w2 is None:
                     if w1 is not w2:
-                        side = "first" if w2 is None else "second"
-                        return ids1, ids2, GraphMismatch(
-                            "edge-presence", v1, v2, color, f"only the {side} graph lowers here")
-                elif w1 not in ids1 and w2 not in ids2:
-                    ids1[w1] = ids2[w2] = len(ids2)
+                        return pairs, _lowers_once(src, src, color, w2)
+                    continue
+                id1, id2 = ids1.get(w1), ids2.get(w2)
+                if id1 is None and id2 is None:
+                    ids1[w1] = ids2[w2] = pairs
+                    pairs += 1
                     detail = check and check(w1, w2)
                     if detail:
-                        return ids1, ids2, GraphMismatch("label-mismatch", w1, w2, color, detail)
-                    nxt.append((w1, w2))
-                elif ids1.get(w1) != ids2.get(w2):
-                    return ids1, ids2, GraphMismatch(
-                        "inconsistent-pairing", w1, w2, color, "conflicts with an earlier pairing")
-        _check_level(len(ids1), level)
-        frontier = nxt
-    return ids1, ids2, None
+                        return pairs, _disagrees(pairs - 1, color, detail)
+                elif id1 != id2:
+                    return pairs, _conflict(pairs if id1 is None else id1,
+                                            pairs if id2 is None else id2, color)
+        _check_level(pairs, level)
+    return pairs, None
 
 
 def _model_side(model, n, a):
@@ -239,7 +267,8 @@ def _model_side(model, n, a):
 
 
 def compare_models(n, depth, model1, model2, a1=None, a2=None, use_psi=False):
-    """Walk two models' crystals to ``depth`` in lockstep, building no graph.
+    """Walk two models' crystals to ``depth`` in lockstep, building no graph
+    and holding two levels of vertices at a time.
 
     ``a1`` and ``a2`` are the arm sequences of partition models.  With
     ``use_psi`` (the partition model first, the monomial one second) every
@@ -257,42 +286,65 @@ def compare_models(n, depth, model1, model2, a1=None, a2=None, use_psi=False):
     (root1, children1, label1), (root2, children2, label2) = (
         _model_side(model1, n, a1), _model_side(model2, n, a2))
     check = _corner_check(n, label1, label2) if use_psi else None
-    ids1, ids2, mismatch = _walk((root1, children1), (root2, children2), depth, check)
-    if mismatch is not None:
-        # a vertex not yet paired is the next one its side would discover
-        mismatch = mismatch._replace(vertex1=ids1.get(mismatch.vertex1, len(ids1)),
-                                     vertex2=ids2.get(mismatch.vertex2, len(ids2)))
-    return len(ids1), mismatch
+    return _walk((root1, children1), (root2, children2), depth, check)
 
 
-def _graph_side(g: CrystalGraph):
-    out, colors = g.out_edges(), range(g.n)
-    return g.root, lambda v: [out[v].get(color) for color in colors]
+def _pair_graphs(g1: CrystalGraph, g2: CrystalGraph):
+    """compare_graphs' walk: the pairs of vertex ids in pairing order, and
+    the first mismatch, naming the graphs' own ids, or None.
+
+    A hand-built or reloaded graph may have an edge back to an earlier
+    level or past the next one, so ``index1`` and ``index2`` map every
+    vertex id of their graph to its pair index, None until it is paired.
+    """
+    out1, out2 = g1.out_edges(), g2.out_edges()
+    index1, index2 = [None] * len(out1), [None] * len(out2)
+    index1[g1.root] = index2[g2.root] = 0
+    pairs = [(g1.root, g2.root)]
+    colors = range(g1.n)
+    level = done = 0
+    while done < len(pairs):
+        level += 1
+        start, done = done, len(pairs)
+        for v1, v2 in pairs[start:done]:
+            edges1, edges2 = out1[v1], out2[v2]
+            for color in colors:
+                w1, w2 = edges1.get(color), edges2.get(color)
+                if w1 is None or w2 is None:
+                    if w1 is not w2:
+                        return pairs, _lowers_once(v1, v2, color, w2)
+                    continue
+                id1, id2 = index1[w1], index2[w2]
+                if id1 is None and id2 is None:
+                    index1[w1] = index2[w2] = len(pairs)
+                    pairs.append((w1, w2))
+                elif id1 != id2:
+                    return pairs, _conflict(w1, w2, color)
+        _check_level(len(pairs), level)
+    return pairs, None
 
 
 def compare_graphs(g1: CrystalGraph, g2: CrystalGraph) -> GraphComparison:
     """Synchronized walk from the roots following equal-colored edges.
 
     Returns the vertex bijection when it is total and consistent, else the
-    first divergence.  Like every walk, it raises BoundOutOfRange for a
-    rank above MAX_RANK and once it pairs more than MAX_GRAPH_VERTICES
-    vertices.
+    first divergence.  Unlike :func:`compare_models`, it pairs along every
+    edge, one that skips a level or returns to an earlier one included.
+    Like every walk, it raises BoundOutOfRange for a rank above MAX_RANK and
+    once it pairs more than MAX_GRAPH_VERTICES vertices.
     """
     if g1.n != g2.n:
         raise RankMismatch(f"ranks differ: {g1.n} vs {g2.n}")
     if g1.depth != g2.depth:
         raise DepthMismatch(f"depths differ: {g1.depth} vs {g2.depth}")
-    check_rank(g1.n)  # a vertex's children list has one entry per color
-    # each level pairs a new vertex, so no walk has more levels than g1 vertices
-    ids1, ids2, mismatch = _walk(_graph_side(g1), _graph_side(g2), len(g1.vertices))
-    if mismatch is None and (len(ids1), len(ids2)) != (len(g1.vertices), len(g2.vertices)):
-        mismatch = GraphMismatch(
-            "unreached-vertices",
-            detail=f"paired {len(ids1)} of {len(g1.vertices)}/{len(g2.vertices)}",
-        )
+    check_rank(g1.n)  # the walk tries every color at each vertex
+    pairs, mismatch = _pair_graphs(g1, g2)
+    count1, count2 = len(g1.vertices), len(g2.vertices)
+    if mismatch is None and not len(pairs) == count1 == count2:
+        mismatch = _unreached(len(pairs), count1, count2)
     if mismatch is not None:
         return GraphComparison(mismatch=mismatch)
-    return GraphComparison(bijection=dict(zip(ids1, ids2)))
+    return GraphComparison(bijection=dict(pairs))
 
 
 def _refuse_label(g: CrystalGraph) -> NoReturn:

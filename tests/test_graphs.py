@@ -445,6 +445,41 @@ class TestComparison:
         assert result.mismatch.vertex1 is None
         assert str(result.mismatch) == "unreached-vertices: paired 2 of 3/2"
 
+    def test_hand_built_edges_off_the_next_level(self):
+        # a chain 0 -0-> 1 -0-> 2 -0-> 3, an edge 1 -1-> 3 past the next
+        # level, 3 -2-> 0 back to the root, 2 -1-> 1 back one level and a
+        # loop at 4: the graph walk pairs along every edge, so a one-level
+        # map would pair 3 and 4 twice
+        g = CrystalGraph("partition", 3, 3, None, ["a", "b", "c", "d", "e"],
+                         [(0, 1, 0), (1, 2, 0), (2, 3, 0), (1, 3, 1), (3, 0, 2),
+                          (2, 1, 1), (0, 4, 2), (4, 4, 1)])
+        identity = compare_graphs(g, g).bijection
+        assert identity == {v: v for v in range(5)}
+        assert list(identity) == [0, 1, 4, 2, 3]  # pairing order
+        perm = [3, 0, 4, 1, 2]
+        renumbered = g._replace(edges=[(perm[s], perm[d], c) for s, d, c in g.edges],
+                                root=perm[0])
+        assert compare_graphs(g, renumbered).bijection == dict(enumerate(perm))
+        # each mutant against g, then g against it
+        conflict, lowers = ": conflicts with an earlier pairing", " graph lowers here"
+        edits = {
+            ((3, 0, 2), (3, 1, 2)): ("inconsistent-pairing at v0/v1 color 2" + conflict,
+                                     "inconsistent-pairing at v1/v0 color 2" + conflict),
+            ((1, 3, 1), (1, 2, 1)): ("inconsistent-pairing at v3/v2 color 1" + conflict,
+                                     "inconsistent-pairing at v2/v3 color 1" + conflict),
+            ((4, 4, 1), (4, 0, 1)): ("inconsistent-pairing at v4/v0 color 1" + conflict,
+                                     "inconsistent-pairing at v0/v4 color 1" + conflict),
+            ((1, 3, 1), None): ("edge-presence at v1/v1 color 1: only the first" + lowers,
+                                "edge-presence at v1/v1 color 1: only the second" + lowers),
+            ((3, 0, 2), None): ("edge-presence at v3/v3 color 2: only the first" + lowers,
+                                "edge-presence at v3/v3 color 2: only the second" + lowers),
+        }
+        for (old, new), wanted in edits.items():
+            mutant = g._replace(edges=[new if e == old else e for e in g.edges
+                                       if e != old or new is not None])
+            for pair, want in zip(((g, mutant), (mutant, g)), wanted):
+                assert str(compare_graphs(*pair).mismatch) == want
+
     def test_depth_guard(self):
         with pytest.raises(DepthMismatch):
             compare_graphs(
@@ -597,6 +632,79 @@ class TestWalk:
         result = compare_graphs(generate_graph("partition", 3, 12, a),
                                 generate_graph("partition", 3, 12))
         assert str(result.mismatch) == want
+
+    def test_mismatch_pair_counts(self, monkeypatch):
+        # the pairs made up to the first mismatch, that one included, for
+        # each kind; a vertex not yet paired is named by that count
+        a = ArmSequence(3, [0, 5, 1, 9, 2, 7])
+        assert compare_models(3, 12, "partition", "partition", a)[0] == 18
+        assert str(compare_models(3, 12, "partition", "partition", None, a)[1]) == (
+            "inconsistent-pairing at v18/v17 color 0: conflicts with an earlier pairing")
+        vertices, mismatch = compare_models(3, 10, "partition", "monomial",
+                                            random_arm(3, 40, 3), use_psi=True)
+        assert (vertices, str(mismatch)) == (6, (
+            "label-mismatch at v5/v5 color 1: "
+            "'[2,1]' does not correspond to 'Y(1,4)^-1*Y(0,3)*Y(1,1)'"))
+        # a monomial side that does not lower v7 by its first color
+        target = generate_graph("monomial", 3, 6).vertices[7]
+        model_side = graphs._model_side
+
+        def pruned_side(model, n, a):
+            root, children, label = model_side(model, n, a)
+            if model != "monomial":
+                return root, children, label
+
+            def pruned(v):
+                kids = children(v)
+                if label(v) == target:
+                    kids[next(i for i, w in enumerate(kids) if w is not None)] = None
+                return kids
+
+            return root, pruned, label
+
+        monkeypatch.setattr(graphs, "_model_side", pruned_side)
+        for models, side in ((("partition", "monomial"), "first"),
+                             (("monomial", "partition"), "second")):
+            vertices, mismatch = compare_models(3, 6, *models)
+            assert (vertices, str(mismatch)) == (
+                12, f"edge-presence at v7/v7 color 0: only the {side} graph lowers here")
+
+    def test_holds_two_levels(self):
+        # a child can only meet a vertex of the next level, so the walk
+        # keeps the frontier's level and the one it is discovering, not
+        # every vertex it has paired; counted on vertices that track their
+        # live instances
+        n, depth = 3, 14
+        sizes = oracle_regular_counts(n, depth)
+        root, children, _ = graphs._model_side("partition", n, None)
+
+        class Vertex:
+            __slots__ = ("parts",)
+            live = 0
+
+            def __init__(self, parts):
+                self.parts = parts
+                Vertex.live += 1
+
+            def __del__(self):
+                Vertex.live -= 1
+
+            def __eq__(self, other):
+                return self.parts == other.parts
+
+            def __hash__(self):
+                return hash(self.parts)
+
+        def counted(v):
+            level = sum(v.parts)
+            # both sides' vertices of v's level and the next, plus the two
+            # roots, the first side's child list and the last pair looked at
+            assert Vertex.live <= 2 * (sizes[level] + sizes[level + 1]) + n + 4
+            return [None if w is None else Vertex(w) for w in children(v.parts)]
+
+        pairs, mismatch = graphs._walk((Vertex(root), counted), (Vertex(root), counted),
+                                       depth)
+        assert (pairs, mismatch) == (sum(sizes), None)
 
     def test_builds_no_graph(self, monkeypatch):
         def refuse(*args, **kwargs):
